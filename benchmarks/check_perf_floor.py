@@ -13,13 +13,12 @@ more than the configured tolerance below its checked-in floor, or when a
 machine-independent ratio (the packet-train ``event_reduction``, the
 allocation-path ``speedup``) falls under its minimum.  Parallel-speedup
 floors are gated on the machine being able to demonstrate them at all:
-``min_cpus`` skips a section's ratio floors on small machines, and
-``requires_no_gil`` skips them when the benchmark recorded
-``gil_enabled`` true (a thread-pool drain cannot scale under the GIL).
-Skips are loud — they appear in the detail lines and in the summary
-table printed at the end.  Raising a floor is a normal part of landing a
-perf win; lowering one is a perf regression and needs justification in
-the PR.
+``min_cpus`` skips a section's ratio floors on small machines.  Skips
+are loud — they appear in the detail lines and in the summary table
+printed at the end.  A section key outside :data:`KNOWN_KEYS` fails the
+check, so a typo'd limit cannot be silently skipped.  Raising a floor
+is a normal part of landing a perf win; lowering one is a perf
+regression and needs justification in the PR.
 """
 
 from __future__ import annotations
@@ -39,6 +38,9 @@ RATIO_FLOORS = {
     "min_event_reduction": "event_reduction",
     "min_speedup": "speedup",
 }
+
+#: Every key a floor section may hold.
+KNOWN_KEYS = frozenset({"events_per_sec", "min_cpus", *RATIO_FLOORS})
 
 
 def check_group(
@@ -65,6 +67,12 @@ def check_group(
             rows.append((f"{group}.{section}", "-", "-", "MISSING"))
             failures.append(f"{group}.{section}: missing from {results_path.name}")
             continue
+        unknown = sorted(set(limits) - KNOWN_KEYS)
+        if unknown:
+            rows.append((f"{group}.{section}", "-", "-", "UNKNOWN KEY"))
+            failures.append(
+                f"{group}.{section}: unknown floor key(s) {', '.join(unknown)}"
+            )
         floor_eps = limits.get("events_per_sec")
         if floor_eps is not None:
             allowed = floor_eps * (1.0 - tolerance)
@@ -91,18 +99,15 @@ def check_group(
         skip_reason = None
         if min_cpus is not None and cpus is not None and cpus < min_cpus:
             skip_reason = f"{cpus} cpus < min_cpus {min_cpus}"
-        elif limits.get("requires_no_gil") and measured.get("gil_enabled", True):
-            skip_reason = "gil enabled"
         for floor_key, measured_key in RATIO_FLOORS.items():
             minimum = limits.get(floor_key)
             if minimum is None:
                 continue
             if skip_reason is not None:
                 # A parallel-speedup floor is meaningless on a machine
-                # that cannot physically parallelize (too few cores, or
-                # a GIL serializing the thread pool) — report, don't
-                # fail (CI runners satisfy min_cpus; laptops may not,
-                # and stock CPython keeps its GIL).
+                # that cannot physically parallelize (too few cores) —
+                # report, don't fail (CI runners satisfy min_cpus;
+                # laptops may not).
                 print(
                     f"{group}.{section}.{measured_key}: skipped "
                     f"({skip_reason})"

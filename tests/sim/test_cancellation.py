@@ -1,6 +1,8 @@
 """Lazy event cancellation: tombstones, compaction, and abandoned timers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Environment, Interrupt
 from repro.sim.events import race
@@ -94,6 +96,20 @@ class TestCompaction:
             order.append(env.now)
         assert order == [0.5, 1.5, 2.5, 3.5, 4.5]
 
+    def test_compaction_when_every_entry_is_a_tombstone(self, env):
+        doomed = [
+            env.timeout(10.0 + i)
+            for i in range(Environment.COMPACT_MIN_TOMBSTONES)
+        ]
+        for timer in doomed:
+            timer.cancel()
+        # The last cancel reaches the floor with tombstones filling the
+        # whole heap: one compaction empties it.
+        assert env.compactions_run == 1
+        assert env._queue == []
+        assert len(env) == 0
+        assert env.peek() == float("inf")
+
     def test_no_compaction_below_minimum(self, env):
         env.timeout(1)
         doomed = env.timeout(2)
@@ -169,3 +185,38 @@ class TestAbandonedTimers:
         assert len(env) == 0
         # Running dry never reached any abandoned 3 s timer.
         assert env.now < 3.0
+
+
+@given(
+    spec=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=10.0),  # delay
+            st.booleans(),  # cancelled before the run?
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_random_cancellation_matches_reference(spec):
+    """Random schedules + cancellations: exactly the live timers fire, in
+    (time, creation) order, and cancelled ones leave no trace on the
+    clock or the processed count."""
+    env = Environment()
+    log = []
+    for index, (delay, cancel) in enumerate(spec):
+        timer = env.timeout(delay, value=index)
+        if cancel:
+            timer.cancel()
+        else:
+            timer.callbacks.append(lambda ev: log.append((ev.value, env.now)))
+    env.run()
+
+    live = sorted(
+        (delay, index)
+        for index, (delay, cancel) in enumerate(spec)
+        if not cancel
+    )
+    assert log == [(index, delay) for delay, index in live]
+    assert env.now == (live[-1][0] if live else 0.0)
+    assert env.events_processed == len(live)

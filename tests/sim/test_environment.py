@@ -24,6 +24,12 @@ class TestClock:
     def _tick(env, delay):
         yield env.timeout(delay)
 
+    def test_run_until_time_pins_clock_before_pending_event(self, env):
+        env.timeout(5.0)
+        env.run(until=1.5)
+        assert env.now == 1.5
+        assert len(env) == 1  # the later event stays scheduled
+
     def test_run_until_past_raises(self, env):
         env.run(until=5)
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
-"""map_named — the worker-pool helper shared by run_all and the shard
-executor: ordered results, no None holes, named failures."""
+"""map_named — the worker-pool helper shared by run_all and the pod
+process pool: ordered results, no None holes, named failures."""
 
 import pytest
 

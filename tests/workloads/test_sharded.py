@@ -1,4 +1,4 @@
-"""Pod-partitioned workloads: every executor yields the same timeline."""
+"""Pod-partitioned workloads: both executors yield the same timeline."""
 
 import pytest
 
@@ -37,6 +37,12 @@ class TestPlan:
         with pytest.raises(ValueError):
             PodSpec(index=0, n_clients=1, n_datanodes=0,
                     file_bytes=KB, stagger=0.0)
+        with pytest.raises(ValueError, match="file_bytes"):
+            PodSpec(index=0, n_clients=1, n_datanodes=4,
+                    file_bytes=0, stagger=0.0)
+        with pytest.raises(ValueError, match="stagger"):
+            PodSpec(index=0, n_clients=1, n_datanodes=4,
+                    file_bytes=KB, stagger=-0.1)
         with pytest.raises(ValueError):
             PodPlan.regular(0, 1, 1, KB)
 
@@ -76,38 +82,21 @@ class TestPlan:
 
 class TestExecutorEquivalence:
     def test_all_executors_agree_exactly(self):
-        """single-env, in-process sharded, and process-pool executors
-        produce identical per-client timelines — the shard-invariance
-        property the benchmark is built on."""
+        """The single-env and process-pool executors produce identical
+        per-client timelines — the property the benchmark is built on."""
         plan = small_plan()
         config = small_config()
         baseline = run_pods_single_env(plan, config=config)
-        inproc = run_pods_single_env(plan, config=config, shards=2)
         procs = run_pods_sharded(plan, shards=2, config=config)
 
         assert baseline.executor == "single"
-        assert inproc.executor == "sharded-inproc"
         assert procs.executor == "processes"
 
         assert baseline.timeline  # non-trivial run
-        assert inproc.timeline == baseline.timeline
         assert procs.timeline == baseline.timeline
         assert baseline.fully_replicated
-        assert inproc.fully_replicated
         assert procs.fully_replicated
-        # In-process sharding dispatches the exact same event sequence.
-        assert inproc.events_processed == baseline.events_processed
         assert baseline.makespan > 0
-
-    def test_inproc_health_reports_shard_load(self):
-        outcome = run_pods_single_env(
-            small_plan(), config=small_config(), shards=2
-        )
-        health = outcome.health
-        assert health["shards"] == 2
-        assert len(health["shard_events"]) == 2
-        assert all(events > 0 for events in health["shard_events"])
-        assert sum(health["shard_events"]) == outcome.events_processed
 
     def test_process_executor_reports_per_shard_events(self):
         outcome = run_pods_sharded(
@@ -157,47 +146,4 @@ class TestExecutorEquivalence:
             run_pods_sharded(
                 small_plan(n_pods=2), shards=2,
                 config=small_config(), jobs=1,
-            )
-
-
-class TestWindowedExecution:
-    def test_windowed_matches_merge_timeline(self):
-        """Windowed chunks at infinite lookahead replay the exact
-        single-env timeline; the health dict shows the barrier work."""
-        plan = small_plan()
-        config = small_config()
-        baseline = run_pods_single_env(plan, config=config)
-        windowed = run_pods_single_env(
-            plan, config=config, shards=2, windowed=True, window=1.0
-        )
-        assert windowed.executor == "sharded-windowed"
-        assert windowed.timeline == baseline.timeline
-        assert windowed.fully_replicated
-        assert windowed.bytes_moved == baseline.bytes_moved
-        assert windowed.health["window_barriers"] > 0
-        assert windowed.health["window_events"] > 0
-        assert windowed.health["window_batch_max"] > 0
-
-    def test_threaded_windowed_matches_sequential(self):
-        plan = small_plan()
-        config = small_config()
-        sequential = run_pods_single_env(
-            plan, config=config, shards=2, windowed=True, window=1.0
-        )
-        threaded = run_pods_single_env(
-            plan, config=config, shards=2, windowed=True, window=1.0,
-            workers=2,
-        )
-        assert threaded.timeline == sequential.timeline
-        assert threaded.fully_replicated
-        assert threaded.health["window_workers"] == 2
-
-    def test_windowed_requires_shards(self):
-        with pytest.raises(ValueError, match="requires shards"):
-            run_pods_single_env(
-                small_plan(), config=small_config(), windowed=True
-            )
-        with pytest.raises(ValueError, match="requires shards"):
-            run_pods_single_env(
-                small_plan(), config=small_config(), workers=2
             )
