@@ -145,6 +145,11 @@ class InvariantMonitor:
         }
         self._generation_high: dict[str, int] = {}
         self._live_pipelines: dict[str, set[str]] = {}
+        #: Block subject -> the client that opened its pipeline.
+        #: ``pipeline_open`` names the client's host while
+        #: ``pipeline_done`` names the client itself, so a pipeline is
+        #: released from whoever opened it.
+        self._pipeline_owner: dict[str, str] = {}
         self._finalized = False
 
         deployment.journal.subscribe(self._on_event)
@@ -179,6 +184,7 @@ class InvariantMonitor:
 
         client = event.details.get("client")
         if client is not None and event.kind == "pipeline_open":
+            self._pipeline_owner[event.subject] = client
             live = self._live_pipelines.setdefault(client, set())
             live.add(event.subject)
             self.records["pipeline_cap"].check(
@@ -187,7 +193,8 @@ class InvariantMonitor:
                 f"> cap {self.pipeline_cap} (t={event.time:.3f})",
             )
         elif client is not None and event.kind == "pipeline_done":
-            self._live_pipelines.setdefault(client, set()).discard(
+            owner = self._pipeline_owner.pop(event.subject, client)
+            self._live_pipelines.setdefault(owner, set()).discard(
                 event.subject
             )
 

@@ -4,6 +4,13 @@ Tracks where every block's replicas live, how many bytes each replica has
 confirmed, and block lifecycle (under construction → complete).  Fault
 experiments use :meth:`BlockManager.remove_datanode` to drop replicas of a
 dead node and :meth:`BlockManager.under_replicated` to check the damage.
+
+The manager also keeps a derived index of block ids bucketed by their
+finalized-replica count, so the replication monitor's per-heartbeat
+:meth:`BlockManager.under_replicated` scan touches only the blocks below
+its bound rather than the whole namespace (DESIGN.md §12.5).  The index
+is rebuilt from the blocks on :meth:`BlockManager.restore_state` and is
+never part of :meth:`BlockManager.export_state`.
 """
 
 from __future__ import annotations
@@ -44,12 +51,18 @@ class BlockManager:
     def __init__(self, start_id: int = 1000):
         self._ids = count(start_id)
         self._blocks: dict[int, BlockInfo] = {}
+        #: Derived from ``_blocks``: block id -> finalized-replica count,
+        #: and ``_buckets[n]`` = ids of the blocks with exactly n.
+        self._count: dict[int, int] = {}
+        self._buckets: list[set[int]] = [set()]
 
     # -- allocation ----------------------------------------------------------
     def allocate(self, path: str, index: int, size: int) -> Block:
         """Mint a new block for ``path``."""
         block = Block(block_id=next(self._ids), path=path, index=index, size=size)
         self._blocks[block.block_id] = BlockInfo(block=block)
+        self._count[block.block_id] = 0
+        self._buckets[0].add(block.block_id)
         return block
 
     def expect_replicas(self, block_id: int, datanodes: tuple[str, ...]) -> None:
@@ -70,12 +83,15 @@ class BlockManager:
         info = self._get(block_id)
         replica = info.replicas.setdefault(datanode, ReplicaInfo(datanode=datanode))
         replica.bytes_confirmed = size
-        replica.finalized = True
+        if not replica.finalized:
+            replica.finalized = True
+            self._recount(block_id, +1)
 
     def drop_replica(self, block_id: int, datanode: str) -> None:
         """Forget one replica (failed datanode removed from a pipeline)."""
-        info = self._get(block_id)
-        info.replicas.pop(datanode, None)
+        replica = self._get(block_id).replicas.pop(datanode, None)
+        if replica is not None and replica.finalized:
+            self._recount(block_id, -1)
 
     def commit(self, block_id: int) -> None:
         """Mark the block complete (client finished, replicas confirmed)."""
@@ -96,17 +112,18 @@ class BlockManager:
         return tuple(sorted(d for d, r in info.replicas.items() if r.finalized))
 
     def replication_of(self, block_id: int) -> int:
-        return self._get(block_id).finalized_replicas
+        """Finalized replicas of ``block_id``."""
+        try:
+            return self._count[block_id]
+        except KeyError:
+            raise FileNotFound(f"unknown block {block_id}") from None
 
     def under_replicated(self, required: int) -> tuple[int, ...]:
-        """Block IDs with fewer than ``required`` finalized replicas."""
-        return tuple(
-            sorted(
-                bid
-                for bid, info in self._blocks.items()
-                if info.finalized_replicas < required
-            )
-        )
+        """Block IDs with fewer than ``required`` finalized replicas, sorted."""
+        ids: list[int] = []
+        for bucket in self._buckets[: max(required, 0)]:
+            ids.extend(bucket)
+        return tuple(sorted(ids))
 
     def blocks_on(self, datanode: str) -> tuple[int, ...]:
         """All block IDs with a (possibly pending) replica on ``datanode``."""
@@ -136,6 +153,24 @@ class BlockManager:
     def restore_state(self, state: dict) -> None:
         self._blocks = dict(state["blocks"])
         self._ids = count(state["next_id"])
+        self._count = {
+            bid: info.finalized_replicas for bid, info in self._blocks.items()
+        }
+        self._buckets = [set()]
+        for bid, n in self._count.items():
+            self._bucket(n).add(bid)
+
+    def _recount(self, block_id: int, delta: int) -> None:
+        """Move ``block_id`` ``delta`` buckets along the count index."""
+        old = self._count[block_id]
+        self._count[block_id] = old + delta
+        self._buckets[old].discard(block_id)
+        self._bucket(old + delta).add(block_id)
+
+    def _bucket(self, n: int) -> set[int]:
+        while len(self._buckets) <= n:
+            self._buckets.append(set())
+        return self._buckets[n]
 
     def _get(self, block_id: int) -> BlockInfo:
         try:

@@ -165,7 +165,7 @@ class ReplicationMonitor:
             info = blocks.info(block_id)
             if info.state is not BlockState.COMPLETE:
                 continue  # the writing client's recovery owns this block
-            if info.finalized_replicas >= self.policy.target_replication(
+            if blocks.replication_of(block_id) >= self.policy.target_replication(
                 block_id, now
             ):
                 continue  # scanned only because the policy widened the bound

@@ -169,6 +169,37 @@ class TestInvariantMonitorUnit:
         journal.emit(2.0, "pipeline_open", "block:3", client="c")
         assert len(record.violations) == 1  # back under the cap
 
+    def test_pipeline_cap_holds_for_named_client(self) -> None:
+        """``pipeline_open`` names the client's host, ``pipeline_done``
+        the client's own name; sequential blocks of a named client must
+        still be released and never add up past the cap."""
+        from repro.cluster import SMALL, build_homogeneous
+        from repro.config import SimulationConfig
+        from repro.faults import InvariantMonitor
+        from repro.hdfs import HdfsDeployment
+        from repro.sim import Environment
+        from repro.units import KB, MB
+
+        env = Environment()
+        cfg = SimulationConfig().with_hdfs(block_size=1 * MB, packet_size=64 * KB)
+        cluster = build_homogeneous(env, SMALL, n_datanodes=6, config=cfg)
+        deployment = HdfsDeployment(cluster)
+        monitor = InvariantMonitor(deployment)
+        client = deployment.client(name="tenant-a")
+        n_blocks = monitor.pipeline_cap + 3
+        env.run(until=env.process(client.put("/named", n_blocks * MB)))
+        monitor.stop()
+
+        opened = [
+            e.details["client"]
+            for e in deployment.journal.events("pipeline_open")
+        ]
+        assert len(opened) == n_blocks
+        assert set(opened) == {client.node.name} != {"tenant-a"}
+        record = monitor.records["pipeline_cap"]
+        assert record.checks == n_blocks
+        assert record.violations == []
+
     def test_recovery_outcome_rejects_hang_and_crash(self) -> None:
         for outcome, bad in (("completed", False), ("hang", True), ("crash", True)):
             _, monitor = self._monitor()

@@ -1,9 +1,13 @@
 """Stateful property test: the BlockManager under arbitrary op sequences.
 
 A hypothesis RuleBasedStateMachine drives allocate / expect / receive /
-drop / commit / remove-datanode in random interleavings and checks the
-bookkeeping invariants a namenode must never violate.
+drop / commit / remove-datanode / checkpoint-roundtrip in random
+interleavings and checks the bookkeeping invariants a namenode must never
+violate, including that the replica-count index answers every
+``under_replicated`` bound exactly like a full scan.
 """
+
+import pickle
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -70,6 +74,14 @@ class BlockManagerMachine(RuleBasedStateMachine):
         for block_id in affected:
             assert dn not in self.manager.locations(block_id)
 
+    @rule()
+    def checkpoint_roundtrip(self):
+        """Continue the run on a fresh manager restored from a checkpoint."""
+        state = pickle.loads(pickle.dumps(self.manager.export_state()))
+        assert set(state) == {"blocks", "next_id"}
+        self.manager = BlockManager()
+        self.manager.restore_state(state)
+
     # ------------------------------------------------------------------
     @invariant()
     def locations_match_shadow_model(self):
@@ -78,10 +90,14 @@ class BlockManagerMachine(RuleBasedStateMachine):
             assert self.manager.replication_of(block_id) == len(expected)
 
     @invariant()
-    def under_replicated_is_consistent(self):
-        flagged = set(self.manager.under_replicated(3))
-        for block_id, dns in self.finalized.items():
-            assert (block_id in flagged) == (len(dns) < 3)
+    def under_replicated_matches_full_scan(self):
+        infos = self.manager.all_blocks()
+        for required in range(6):
+            assert self.manager.under_replicated(required) == tuple(
+                info.block.block_id
+                for info in infos
+                if info.finalized_replicas < required
+            )
 
     @invariant()
     def blocks_on_inverts_locations(self):

@@ -9,7 +9,7 @@ from repro.sim import Environment
 from repro.units import KB, MB
 
 
-def build(n_datanodes=9, monitor=True):
+def build(n_datanodes=9, monitor=True, policy=None):
     env = Environment()
     cfg = SimulationConfig().with_hdfs(
         block_size=2 * MB,
@@ -18,7 +18,9 @@ def build(n_datanodes=9, monitor=True):
         dead_node_heartbeats=3,
     )
     cluster = build_homogeneous(env, SMALL, n_datanodes=n_datanodes, config=cfg)
-    deployment = HdfsDeployment(cluster, enable_replication_monitor=monitor)
+    deployment = HdfsDeployment(
+        cluster, enable_replication_monitor=monitor, policy=policy
+    )
     return env, deployment
 
 
@@ -109,3 +111,49 @@ class TestHealing:
         upload(env, deployment)
         env.run(until=env.now + 30)
         assert deployment.replication_monitor.completed == []
+
+
+class TestNamespaceScale:
+    """A tick over a large healthy namespace plans only the damaged blocks."""
+
+    N_BLOCKS = 2000
+
+    def build(self, policy=None):
+        env, deployment = build(policy=policy)
+        blocks = deployment.namenode.blocks
+        names = sorted(deployment.datanodes)
+        ids = []
+        for i in range(self.N_BLOCKS):
+            block = blocks.allocate("/bulk", index=i, size=MB)
+            for k in range(3):
+                dn = names[(i + k) % len(names)]
+                blocks.replica_received(block.block_id, dn, MB)
+            blocks.commit(block.block_id)
+            ids.append(block.block_id)
+        damaged = (ids[17], ids[1500])
+        for block_id in damaged:
+            blocks.drop_replica(block_id, blocks.locations(block_id)[0])
+        return env, deployment, ids, damaged
+
+    def test_one_tick_plans_exactly_the_damaged_blocks(self):
+        env, deployment, ids, damaged = self.build()
+        blocks = deployment.namenode.blocks
+        monitor = deployment.replication_monitor
+        assert blocks.under_replicated(3) == damaged
+
+        # One tick (at ``interval``) copies exactly the two damaged blocks.
+        env.run(until=monitor.interval * 1.5)
+        assert sorted(b for b, _, _ in monitor.completed) == list(damaged)
+        assert blocks.under_replicated(3) == ()
+
+    def test_widened_scan_lists_every_block_in_id_order(self):
+        env, deployment, ids, damaged = self.build(policy="hotspot")
+        blocks = deployment.namenode.blocks
+        monitor = deployment.replication_monitor
+        assert monitor.policy.scan_replication() == 4
+        assert blocks.under_replicated(4) == tuple(ids)
+
+        # Cold blocks target the base factor: still only the damage heals.
+        env.run(until=monitor.interval * 1.5)
+        assert sorted(b for b, _, _ in monitor.completed) == list(damaged)
+        assert blocks.under_replicated(4) == tuple(ids)
