@@ -1,16 +1,16 @@
-"""10k-client campaign benchmark: the batch completion kernel.
+"""10k-client campaign benchmark: the fast paths on the campaign shape.
 
-Not a paper figure — this measures the fast path this repo adds on top
-of the packet-train coalescer, on the campaign shape it was built for
+Not a paper figure — this measures the packet-train coalescer and its
+batched feeder on the campaign shape the feeder was built for
 (:func:`repro.workloads.campaign10k`: 100 pods x 100 clients x 10
 datanodes at full scale, 4 MB files inside the data-queue bound so the
 train's batched feeder engages on every block):
 
-* ``campaign10k`` — the vectorized **batch completion kernel**
-  (``HdfsConfig.batch_completions``) against the scalar per-row
-  conductor.  Timelines must be bit-identical; the kernel's win shows up
-  twice: the machine-independent *event reduction* (the batched feeder
-  retires a whole block's packet stream with zero heap events per
+* ``campaign10k`` — the default fast paths against reference mode
+  (``HdfsConfig.reference``: the per-packet loop, eager cancellation and
+  the uncached registry).  Timelines must be bit-identical; the win
+  shows up twice: the machine-independent *event reduction* (the batched
+  feeder retires a whole block's packet stream with zero heap events per
   packet) and the wall-clock *speedup*.  Both runs are timed best-of-N
   because the ratio of two ~second walls is noisy on shared runners; the
   event reduction is deterministic and carries the hard floor.
@@ -29,7 +29,7 @@ from conftest import write_bench_json
 from repro.config import SimulationConfig
 from repro.workloads import campaign10k, run_pods_single_env
 
-#: Best-of-N timing for the scalar/batch pair (wall-ratio noise guard).
+#: Best-of-N timing for the fast/reference pair (wall-ratio noise guard).
 TIMING_REPS = 2
 
 
@@ -57,48 +57,46 @@ def _best_of(fn, reps=TIMING_REPS):
 
 
 def test_campaign_batch_kernel(benchmark, results_dir, scale):
-    """Scalar vs vectorized completion kernel on the campaign shape."""
+    """Fast paths vs reference mode on the campaign shape."""
     plan = campaign10k(scale=max(0.02, scale * 0.4))
-    batch_config = SimulationConfig()
-    scalar_config = batch_config.with_hdfs(batch_completions=0)
+    fast_config = SimulationConfig()
+    reference_config = fast_config.with_hdfs(reference=True)
     cpus = _cpus()
 
-    batch, batch_wall = benchmark.pedantic(
-        lambda: _best_of(lambda: run_pods_single_env(plan, config=batch_config)),
+    fast, fast_wall = benchmark.pedantic(
+        lambda: _best_of(lambda: run_pods_single_env(plan, config=fast_config)),
         rounds=1,
         iterations=1,
     )
-    scalar, scalar_wall = _best_of(
-        lambda: run_pods_single_env(plan, config=scalar_config)
+    reference, reference_wall = _best_of(
+        lambda: run_pods_single_env(plan, config=reference_config)
     )
 
-    # The kernel contract: bit-identical timing, fewer heap events.
-    assert batch.timeline == scalar.timeline
-    assert batch.fully_replicated and scalar.fully_replicated
-    assert batch.bytes_moved == scalar.bytes_moved
+    # The fast-path contract: bit-identical timing, fewer heap events.
+    assert fast.timeline == reference.timeline
+    assert fast.fully_replicated and reference.fully_replicated
+    assert fast.bytes_moved == reference.bytes_moved
 
-    speedup = scalar_wall / batch_wall if batch_wall > 0 else 0.0
+    speedup = reference_wall / fast_wall if fast_wall > 0 else 0.0
     event_reduction = (
-        scalar.events_processed / batch.events_processed
-        if batch.events_processed
+        reference.events_processed / fast.events_processed
+        if fast.events_processed
         else 0.0
     )
-    eps = (
-        round(batch.events_processed / batch_wall) if batch_wall > 0 else 0
-    )
-    bytes_sent, bytes_received = batch.bytes_moved
+    eps = round(fast.events_processed / fast_wall) if fast_wall > 0 else 0
+    bytes_sent, bytes_received = fast.bytes_moved
 
     lines = [
-        f"campaign10k batch kernel "
+        f"campaign10k fast paths "
         f"({len(plan.pods)} pods, {plan.n_clients} clients, "
         f"{plan.n_datanodes} datanodes)",
         f"cpus                 : {cpus}",
-        f"makespan (simulated) : {batch.makespan:.6f}",
+        f"makespan (simulated) : {fast.makespan:.6f}",
         f"aggregate bytes      : {bytes_sent} sent / {bytes_received} received",
-        f"scalar kernel wall   : {scalar_wall:.3f}s "
-        f"({scalar.events_processed} events)",
-        f"batch kernel wall    : {batch_wall:.3f}s "
-        f"({batch.events_processed} events, {eps} events/s)",
+        f"reference wall       : {reference_wall:.3f}s "
+        f"({reference.events_processed} events)",
+        f"fast paths wall      : {fast_wall:.3f}s "
+        f"({fast.events_processed} events, {eps} events/s)",
         f"wall speedup         : {speedup:.2f}x (best of {TIMING_REPS})",
         f"event reduction      : {event_reduction:.2f}x",
     ]
@@ -116,13 +114,13 @@ def test_campaign_batch_kernel(benchmark, results_dir, scale):
             "n_clients": plan.n_clients,
             "n_datanodes": plan.n_datanodes,
             "file_bytes": plan.pods[0].file_bytes,
-            "makespan": batch.makespan,
+            "makespan": fast.makespan,
             "bytes_sent": bytes_sent,
             "bytes_received": bytes_received,
-            "scalar_wall_seconds": round(scalar_wall, 3),
-            "scalar_events": scalar.events_processed,
-            "wall_seconds": round(batch_wall, 3),
-            "events_processed": batch.events_processed,
+            "reference_wall_seconds": round(reference_wall, 3),
+            "reference_events": reference.events_processed,
+            "wall_seconds": round(fast_wall, 3),
+            "events_processed": fast.events_processed,
             "events_per_sec": eps,
             "timeline_identical": True,  # asserted above
             "speedup": round(speedup, 2),
@@ -136,7 +134,7 @@ def test_campaign_batch_kernel(benchmark, results_dir, scale):
     # The machine-independent claim is enforced everywhere; the wall
     # ratio only where a second-long measurement can be trusted at all.
     assert event_reduction >= 1.5, (
-        f"batch kernel removed only {event_reduction:.2f}x of the scalar "
+        f"fast paths removed only {event_reduction:.2f}x of the reference "
         "event traffic"
     )
 

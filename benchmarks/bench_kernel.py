@@ -100,12 +100,12 @@ def test_kernel_throughput(benchmark, results_dir):
 PIPELINE_UPLOAD = 256 * MB
 
 
-def _run_pipeline_workload(coalesce_packets: int):
+def _run_pipeline_workload(reference: bool):
     """One baseline-HDFS upload; returns (duration, events, wall)."""
     config = SimulationConfig().with_hdfs(
         block_size=32 * MB,
         packet_size=64 * KB,
-        coalesce_packets=coalesce_packets,
+        reference=reference,
     )
     env = Environment()
     cluster = build_homogeneous(env, SMALL, n_datanodes=9, config=config)
@@ -123,9 +123,9 @@ def _run_pipeline_workload(coalesce_packets: int):
 
 def test_pipeline_train_throughput(benchmark, results_dir):
     """Packet-train coalescing: same simulated timeline, ≥3x fewer events."""
-    legacy_duration, legacy_events, legacy_wall = _run_pipeline_workload(1)
+    legacy_duration, legacy_events, legacy_wall = _run_pipeline_workload(True)
     duration, events, wall = benchmark.pedantic(
-        lambda: _run_pipeline_workload(0), rounds=1, iterations=1
+        lambda: _run_pipeline_workload(False), rounds=1, iterations=1
     )
 
     events_per_sec = round(events / wall) if wall > 0 else 0

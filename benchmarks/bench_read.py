@@ -3,9 +3,9 @@
 Three sections, written to ``benchmarks/results/BENCH_read.json`` and
 checked by the ``read`` group in ``perf_floor.json``:
 
-* ``streaming`` — the same whole-file read with ``coalesce_reads`` off
+* ``streaming`` — the same whole-file read with the fast paths on
   (analytic :class:`~repro.hdfs.train.ReadTrain` per block, the
-  default) and on (legacy per-chunk prefetch loop).  Simulated duration
+  default) and in reference mode (legacy per-chunk prefetch loop).  Simulated duration
   must match *exactly* — the train is an equivalence-preserving
   optimization — while the heap-event count drops by at least
   ``min_event_reduction`` 1.5x (measured ~7x: three quotes per block
@@ -70,13 +70,13 @@ class LocalityOnlyPolicy(Policy):
         return candidates
 
 
-def _streamed_read(coalesce: int, size: int):
+def _streamed_read(reference: bool, size: int):
     """Write ``size`` then read it back; (duration, read-phase events)."""
     env = Environment()
     config = SimulationConfig().with_hdfs(
         block_size=STREAM_BLOCK,
         packet_size=STREAM_PACKET,
-        coalesce_reads=coalesce,
+        reference=reference,
     )
     cluster = build_homogeneous(env, SMALL, n_datanodes=9, config=config)
     deployment = HdfsDeployment(cluster)
@@ -91,9 +91,9 @@ def test_read_streaming(benchmark, results_dir, scale):
     """Coalesced trains: identical simulated read, far fewer events."""
     size = max(2 * STREAM_BLOCK, int(STREAM_FILE * scale))
     fast_duration, fast_events = benchmark.pedantic(
-        lambda: _streamed_read(0, size), rounds=1, iterations=1
+        lambda: _streamed_read(False, size), rounds=1, iterations=1
     )
-    legacy_duration, legacy_events = _streamed_read(1, size)
+    legacy_duration, legacy_events = _streamed_read(True, size)
     reduction = legacy_events / fast_events if fast_events else 0.0
 
     lines = [

@@ -6,11 +6,12 @@ path*: the cached :class:`SpeedRegistry` ranking behind Algorithm 1's
 workloads:
 
 * ``scale64`` — 64 staggered SMARTH clients on a 240-datanode two-rack
-  cluster, run twice: with the fast paths on, and in *legacy mode* (the
-  uncached reference registry plus the pre-tombstone scheduler).  Both
-  runs must produce an identical simulated timeline — every client's
-  (start, end) — which is asserted, not assumed; the wall-clock ratio is
-  recorded as ``end_to_end_speedup``.
+  cluster, run twice: with the fast paths on, and in reference mode
+  (``HdfsConfig.reference``: the uncached registry, the pre-tombstone
+  scheduler and the per-packet loop).  Both runs must produce an
+  identical simulated timeline — every client's (start, end) — which is
+  asserted, not assumed; the wall-clock ratio is recorded as
+  ``end_to_end_speedup``.
 * ``scale256`` — 256 staggered clients on a 60-datanode cluster, the
   high-tenancy end of the range; records throughput for the floor check.
 * ``allocation`` — the per-``add_block`` allocation path in isolation at
@@ -36,11 +37,7 @@ from conftest import write_bench_json
 
 from repro.config import HdfsConfig, SimulationConfig
 from repro.hdfs.datanode_manager import DatanodeManager
-from repro.hdfs.namenode import (
-    Namenode,
-    SpeedRegistry,
-    UncachedSpeedRegistry,
-)
+from repro.hdfs.namenode import SpeedRegistry, UncachedSpeedRegistry
 from repro.hdfs.protocol import NoDatanodesAvailable
 from repro.net import Topology
 from repro.sim import Environment, total_events_processed
@@ -52,10 +49,15 @@ from repro.workloads import run_concurrent_uploads, two_rack
 # End-to-end workloads
 
 
-def _run_workload(n_clients, n_datanodes, file_bytes, stagger):
+def _run_workload(
+    n_clients, n_datanodes, file_bytes, stagger, reference=False
+):
     """One staggered multi-tenant run; returns (timeline, events, wall)."""
     config = SimulationConfig().with_hdfs(
-        block_size=256 * KB, packet_size=64 * KB, heartbeat_interval=0.5
+        block_size=256 * KB,
+        packet_size=64 * KB,
+        heartbeat_interval=0.5,
+        reference=reference,
     )
     scenario = two_rack(
         "small", n_datanodes=n_datanodes, n_extra_clients=n_clients - 1
@@ -75,30 +77,15 @@ def _run_workload(n_clients, n_datanodes, file_bytes, stagger):
     return timeline, events, wall
 
 
-def _legacy_mode():
-    """Install the pre-fast-path reference implementations."""
-    Environment.LAZY_CANCELLATION = False
-    Namenode.speed_registry_factory = UncachedSpeedRegistry
-
-
-def _fast_mode():
-    Environment.LAZY_CANCELLATION = True
-    Namenode.speed_registry_factory = SpeedRegistry
-
-
 def test_scale_64_clients(benchmark, results_dir, scale):
     """64 tenants, 240 datanodes: identical timeline, lower wall clock."""
     n_clients, n_datanodes = 64, 240
     file_bytes = max(512 * KB, int(16 * MB * scale))
     stagger = 0.05
 
-    try:
-        _legacy_mode()
-        legacy_timeline, legacy_events, legacy_wall = _run_workload(
-            n_clients, n_datanodes, file_bytes, stagger
-        )
-    finally:
-        _fast_mode()
+    legacy_timeline, legacy_events, legacy_wall = _run_workload(
+        n_clients, n_datanodes, file_bytes, stagger, reference=True
+    )
     timeline, events, wall = benchmark.pedantic(
         lambda: _run_workload(n_clients, n_datanodes, file_bytes, stagger),
         rounds=1,

@@ -5,7 +5,9 @@ Three layers of knobs:
 * :class:`NetworkConfig` — physical substrate constants (latencies, ACK
   sizes) that the paper treats as fixed properties of EC2.
 * :class:`HdfsConfig` — the Hadoop 1.0.3 parameters the paper uses
-  (64 MB blocks, 64 KB packets, replication 3, 3-second heartbeats).
+  (64 MB blocks, 64 KB packets, replication 3, 3-second heartbeats),
+  plus the one simulator switch, ``reference``, which runs the
+  per-packet reference paths instead of the equivalent fast paths.
 * :class:`SmarthConfig` — the SMARTH-specific parameters from §III
   (local-optimization threshold 0.8, pipeline cap ``num/repli``).
 
@@ -78,27 +80,6 @@ class HdfsConfig:
     #: write path (OS socket buffers + BlockReceiver staging) — a few MB,
     #: unlike SMARTH's one-block first-datanode buffer (§IV-C).
     socket_buffer: int = 4 * MB
-    #: Packet-train coalescing for the pipeline hot loop.  ``0`` (the
-    #: default) coalesces a whole block's steady-state packet stream into
-    #: one analytically-quoted :class:`~repro.hdfs.train.PacketTrain` per
-    #: pipeline; ``1`` disables coalescing (legacy per-packet events);
-    #: ``n > 1`` coalesces only blocks of at most ``n`` packets (a
-    #: granularity guard for memory-constrained plans).  The train planner
-    #: models the §IV-C buffer token bound exactly, so the coalesced window
-    #: is always clamped by buffer headroom.  Timing is bit-identical
-    #: either way (golden-equivalence tested).
-    coalesce_packets: int = 0
-    #: Vectorized batch completion kernel for conducted trains.  ``1``
-    #: (the default) lets a :class:`~repro.hdfs.train.PacketTrain` consume
-    #: every already-produced chunk in one synchronous pass (analytic get
-    #: times, zero heap events per packet) and run numpy-vectorized
-    #: frozen-prefix replays and settle counters; ``0`` falls back to the
-    #: scalar per-row conductor.  The batched feeder only engages when the
-    #: whole file fits the data queue (so producer backpressure can never
-    #: bind and chunk availability is provably identical); timing is
-    #: bit-identical either way (equivalence tested like
-    #: ``coalesce_packets``).
-    batch_completions: int = 1
     #: Concurrent read streams one datanode serves at a time (the
     #: ``dfs.datanode.max.transfer.threads`` analogue).  Excess readers
     #: queue at the datanode and the wait is recorded in the
@@ -106,20 +87,23 @@ class HdfsConfig:
     #: each node's disk channel and NIC channels, so a serving datanode
     #: slows co-resident pipeline traffic and vice versa.
     serve_streams: int = 4
-    #: Read-train coalescing for the read hot loop, with the
-    #: ``coalesce_packets`` semantics: ``0`` (the default) collapses a
-    #: whole block's steady-state chunk cascade into one analytically
-    #: quoted :class:`~repro.hdfs.train.ReadTrain`; ``1`` disables
-    #: coalescing (legacy per-chunk events); ``n > 1`` coalesces only
-    #: blocks of at most ``n`` chunks.  Timing is bit-identical either
-    #: way (equivalence tested like ``coalesce_packets``).
-    coalesce_reads: int = 0
     #: Short-circuit local reads: a reader co-located on a node that holds
     #: a live finalized replica scans its local disk directly — no
     #: connection setup, no NIC occupancy, no datanode serve slot
     #: (Hadoop's ``dfs.client.read.shortcircuit``).  ``0`` disables;
     #: every read then streams through the serving datanode.
     short_circuit_reads: int = 1
+    #: Reference mode.  ``False`` (the default) runs every simulator fast
+    #: path: write :class:`~repro.hdfs.train.PacketTrain` coalescing with
+    #: its batched feeder, :class:`~repro.hdfs.train.ReadTrain` read
+    #: coalescing, lazy (tombstone) event cancellation and the cached
+    #: :class:`~repro.hdfs.namenode.SpeedRegistry` ranking.  ``True``
+    #: selects the reference path of each together: the per-packet write
+    #: loop, the per-chunk read loop, eager cancellation (abandoned timers
+    #: fire as stale events) and
+    #: :class:`~repro.hdfs.namenode.UncachedSpeedRegistry`.  Simulated
+    #: behaviour is identical in both modes; ``tests/oracle`` proves it.
+    reference: bool = False
 
     def __post_init__(self) -> None:
         if self.block_size <= 0:
@@ -134,14 +118,8 @@ class HdfsConfig:
             raise ValueError("heartbeat_interval must be positive")
         if self.socket_buffer <= 0:
             raise ValueError("socket_buffer must be positive")
-        if self.coalesce_packets < 0:
-            raise ValueError("coalesce_packets must be >= 0")
-        if self.batch_completions not in (0, 1):
-            raise ValueError("batch_completions must be 0 or 1")
         if self.serve_streams < 1:
             raise ValueError("serve_streams must be >= 1")
-        if self.coalesce_reads < 0:
-            raise ValueError("coalesce_reads must be >= 0")
         if self.short_circuit_reads not in (0, 1):
             raise ValueError("short_circuit_reads must be 0 or 1")
 

@@ -57,9 +57,10 @@ class FaultInjector:
     def _register_disturbance(self, at: float) -> None:
         """Record a scheduled disturbance time on the deployment.
 
-        The packet-train fast path declines to coalesce any window that
-        contains a scheduled kill/throttle, so registering up front keeps
-        the coalesced and per-packet timelines bit-identical.
+        The write and read train planners decline any window that
+        contains a scheduled kill/throttle, so a faulted run replays the
+        same per-packet timeline with the fast paths on as in reference
+        mode (``HdfsConfig.reference``).
         """
         self.deployment.scheduled_disturbances.append(at)
 

@@ -15,10 +15,10 @@ through either protocol are actually usable.  Semantics follow Hadoop:
   contend for real dataXceiver capacity, not just for the NIC;
 * within a block, reads are chunked at packet granularity with the disk
   read of chunk *i+1* overlapping the network transfer of chunk *i*
-  (Hadoop's BlockSender does the same with its transfer buffer).  With
-  ``coalesce_reads`` enabled (the default) a pristine stream collapses
-  into a :class:`~repro.hdfs.train.ReadTrain` — identical timeline, O(1)
-  heap events per block;
+  (Hadoop's BlockSender does the same with its transfer buffer).  Unless
+  ``HdfsConfig.reference`` is set, a pristine stream collapses into a
+  :class:`~repro.hdfs.train.ReadTrain` — identical timeline, O(1) heap
+  events per block;
 * a replica co-located with the reader is served by a short-circuit
   local read (``HdfsConfig.short_circuit_reads``): a direct disk scan
   that bypasses connection setup, the serve queue and both NICs, like

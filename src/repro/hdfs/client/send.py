@@ -58,9 +58,7 @@ def send_packet_inline(
         # landed was wasted on a dying process.
         if error.triggered and not put.processed:
             return error.value
-    receiver.max_buffered = max(
-        receiver.max_buffered, len(receiver._buffer_tokens)
-    )
+    receiver.note_grant()
     done, finish = network.transfer_begin(src, receiver.host, packet.size)
     yield race(env, done, error)
     if error.triggered and not done.processed:

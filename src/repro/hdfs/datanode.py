@@ -104,7 +104,12 @@ class BlockReceiver:
         self._buffer_tokens: Store = Store(self.env, capacity=capacity)
         self.buffer_capacity = capacity
         #: High-water mark of buffer occupancy (verifies §IV-C's bound).
+        #: Sampled at each token grant, with tokens released at that same
+        #: instant still counted, so the mark does not depend on the
+        #: event order of a coinciding release and grant.
         self.max_buffered = 0
+        self._freed_at = -1.0
+        self._freed_now = 0
         #: Received packets awaiting processing (space already accounted
         #: for by the token the sender holds on our behalf).
         self.inbox: Store = Store(self.env)
@@ -132,6 +137,9 @@ class BlockReceiver:
         self._trace_store = tracer.begin("store", actor, f"{bt}:store", now)
         self._trace_ack = tracer.begin("ack_relay", actor, f"{bt}:ack", now)
         self._trace_fwd = 0  # opened by _start_forwarder on non-tail hops
+        #: Set by a packet train: when the forwarder it stands in for
+        #: retires (the last packet's arrival downstream).
+        self._fwd_retires_at: Optional[float] = None
 
         label = f"{datanode.name}:b{block.block_id}"
         self._procs: list[Process] = [
@@ -177,9 +185,26 @@ class BlockReceiver:
         held until the packet leaves (forwarded, or written on the tail).
         """
         yield self._buffer_tokens.put(packet.seq)
-        self.max_buffered = max(self.max_buffered, len(self._buffer_tokens))
+        self.note_grant()
         yield from self.datanode.network.transfer(src_node, self.host, packet.size)
         yield self.inbox.put(packet)
+
+    def note_grant(self) -> None:
+        """Fold the occupancy after a token grant into :attr:`max_buffered`."""
+        held = len(self._buffer_tokens)
+        if self._freed_at == self.env.now:
+            held = min(self.buffer_capacity, held + self._freed_now)
+        if held > self.max_buffered:
+            self.max_buffered = held
+
+    def _release_token(self):
+        """Free one buffer token (the packet left this node's memory)."""
+        now = self.env.now
+        if self._freed_at == now:
+            self._freed_now += 1
+        else:
+            self._freed_at, self._freed_now = now, 1
+        return self._buffer_tokens.get()
 
     def quiesce_for_train(self) -> None:
         """Stop the per-packet loops so a packet train can take over.
@@ -205,6 +230,9 @@ class BlockReceiver:
         tracer = self.datanode.tracer
         now = self.env.now
         tracer.end(self._trace_store, now, aborted=True)
+        retired = self._fwd_retires_at
+        if retired is not None and retired < now:
+            tracer.end(self._trace_fwd, retired)
         tracer.end(self._trace_fwd, now, aborted=True)
         tracer.end(self._trace_ack, now, aborted=True)
         for proc in self._procs:
@@ -269,7 +297,7 @@ class BlockReceiver:
                     self.abort(self.downstream.name)
                     return
                 yield from self.downstream.send_in(self.host, packet)
-                yield self._buffer_tokens.get()  # space freed
+                yield self._release_token()  # space freed
                 if packet.is_last:
                     self.datanode.tracer.end(self._trace_fwd, self.env.now)
                     return
@@ -332,7 +360,7 @@ class BlockReceiver:
                 del self._write_done[packet.seq]
                 if self.downstream is None:
                     # Tail node: the packet leaves memory once written.
-                    yield self._buffer_tokens.get()
+                    yield self._release_token()
 
                 # Inlined (no process spawn): this runs once per packet per
                 # pipeline hop, and a control send is only a latency wait.

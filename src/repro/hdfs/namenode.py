@@ -140,8 +140,9 @@ class SpeedRegistry:
 class UncachedSpeedRegistry(SpeedRegistry):
     """Reference registry: rebuild the pool and re-sort on every query.
 
-    This is the pre-cache implementation, kept as the baseline the
-    equivalence suite and ``benchmarks/bench_scale.py`` compare against.
+    This is the pre-cache implementation: the namenode uses it in
+    reference mode (``HdfsConfig.reference``), and
+    ``benchmarks/bench_scale.py`` times the cached registry against it.
     It must answer every query exactly like :class:`SpeedRegistry` —
     ties break by name because its pools iterate in name-sorted order
     when ``among`` is name-sorted, and explicitly otherwise.
@@ -170,11 +171,6 @@ class UncachedSpeedRegistry(SpeedRegistry):
 class Namenode:
     """The namenode service running on one cluster node."""
 
-    #: Swappable registry class: the scale benchmark and the fast-path
-    #: equivalence suite install :class:`UncachedSpeedRegistry` here to
-    #: run whole experiments against the reference allocation path.
-    speed_registry_factory = SpeedRegistry
-
     def __init__(
         self,
         env: Environment,
@@ -195,7 +191,9 @@ class Namenode:
         self.namespace = Namespace()
         self.blocks = BlockManager()
         self.datanodes = DatanodeManager(env, config)
-        self.speeds = self.speed_registry_factory()
+        self.speeds = (
+            UncachedSpeedRegistry() if config.reference else SpeedRegistry()
+        )
         self.rng = random.Random(seed)
         self.journal = journal if journal is not None else Journal(enabled=False)
         self.tracer = tracer if tracer is not None else DISABLED_TRACER

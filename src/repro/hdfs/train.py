@@ -39,9 +39,10 @@ are batch-applied at settle (nothing observes them mid-block).
 The planner only accepts *pristine* windows — fresh attempt, no scheduled
 fault/throttle disturbances, no co-resident foreign receivers, no other
 train guarding a needed channel — and otherwise declines, falling back to
-the per-packet path.  Datanode kills mid-train (only reachable through
-direct, unscheduled ``kill()`` calls) settle the committed prefix and
-reconstruct the client-visible recovery state per Algorithm 3.
+the per-packet path (as it always does in reference mode, see
+``HdfsConfig.reference``).  Datanode kills mid-train (only reachable
+through direct, unscheduled ``kill()`` calls) settle the committed prefix
+and reconstruct the client-visible recovery state per Algorithm 3.
 
 :class:`ReadTrain` applies the same machinery to the read path: the
 steady-state chunk cascade of one block read — disk prefetch of chunk
@@ -63,7 +64,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..net.stats import FlowSample
 from ..sim import Environment, Event, ProcessGenerator, Store, race
-from ..sim.batch import HAVE_NUMPY, buffered_high_water, count_before
+from ..sim.batch import buffered_high_water
 from .protocol import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,12 +94,10 @@ def plan_train(
     make the analytic timeline diverge from the per-packet one — resend
     state, a scheduled disturbance, requote-mode reservations, loopback,
     a foreign receiver sharing a hop datanode, another train already
-    guarding a needed channel — falls back to the legacy path.
+    guarding a needed channel — falls back to the legacy path.  Reference mode
+    (``HdfsConfig.reference``) always declines.
     """
-    hdfs_cfg = deployment.config.hdfs
-    if hdfs_cfg.coalesce_packets == 1:
-        return None
-    if 1 < hdfs_cfg.coalesce_packets < plan.n_packets:
+    if deployment.config.hdfs.reference:
         return None
     if deployment.network.config.requote_in_flight:
         # Preemptible reservations re-quote in flight; the train ledger
@@ -357,14 +356,11 @@ class PacketTrain(TrainBase):
         self._old: Optional[tuple] = None  # previous arrays during replay
         self._freeze_before = 0.0
 
-        batch_knob = deployment.config.hdfs.batch_completions == 1
         #: Batched feeder: consume every already-produced chunk in one
         #: synchronous pass with analytic get times.  Only safe when the
         #: caller proved the whole file fits the data queue (puts can
         #: never block, so early gets wake nobody).
-        self._batch_feed = bool(batchable) and batch_knob
-        #: Vectorized replay prefix / settle counters (numpy, bit-exact).
-        self._vector = batch_knob and HAVE_NUMPY
+        self._batch_feed = batchable
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -476,19 +472,19 @@ class PacketTrain(TrainBase):
         self._chan_busy = {id(ch): ch._busy_until for ch in self.channels}
         self._ledger = {id(ch): ([], []) for ch in self.channels}
 
-        # Vectorized batch path: a row whose *last* quote issue — the tail
+        # A row whose *last* quote issue — the tail
         # hop's disk issue ``a[H-1][k]``, the maximum issue in the row — is
         # already frozen takes the ``_keep`` branch for every quote, so its
         # replayed values are verbatim copies.  Find that fully-frozen row
-        # prefix with one searchsorted over the monotone arrival column and
+        # prefix with one bisect over the monotone arrival column and
         # copy it wholesale (timeline rows, per-channel ledgers, busy
         # floors) instead of re-walking it quote by quote.  Requires
         # role-unique channels (guaranteed by the planner's host checks;
         # verified cheaply here) so each ledger maps to exactly one column
         # pair.  Bit-identical by construction: copies of frozen values.
         cutoff = 0
-        if self._vector and rows and len(self.channels) == 3 * H:
-            cutoff = count_before(self._old[3][H - 1], frozen_T)
+        if rows and len(self.channels) == 3 * H:
+            cutoff = bisect_left(self._old[3][H - 1], frozen_T)
             if cutoff:
                 for h in range(H):
                     self._p[h] = self._old[0][h][:cutoff]
@@ -607,6 +603,10 @@ class PacketTrain(TrainBase):
     # -- milestones --------------------------------------------------------
     def _rebuild_milestones(self) -> None:
         last = self._K - 1
+        for h in range(self._n_hops - 1):
+            # The legacy forwarder retires once the last packet reaches
+            # the next hop; an abort after that closes its span there.
+            self.receivers[h]._fwd_retires_at = self._a[h + 1][last]
         milestones = []
         if "sent" not in self._fired:
             milestones.append((self._a[0][last], 0, "sent", 0))
@@ -697,17 +697,9 @@ class PacketTrain(TrainBase):
             cap = self._caps[h]
             rel = self._rel[h]
             rows = len(self._p[h]) if upto_rows is None else upto_rows[h]
-            high = receiver.max_buffered
-            if self._vector:
-                high = buffered_high_water(self._p[h], rel, cap, rows, high)
-            else:
-                for k in range(rows):
-                    occ = k + 1 - bisect_left(rel, self._p[h][k])
-                    if occ > cap:
-                        occ = cap
-                    if occ > high:
-                        high = occ
-            receiver.max_buffered = high
+            receiver.max_buffered = buffered_high_water(
+                self._p[h], rel, cap, rows, receiver.max_buffered
+            )
 
     def _settle_success(self) -> None:
         self._finished = True
@@ -746,25 +738,13 @@ class PacketTrain(TrainBase):
         # Strictly-before semantics: an action scheduled at exactly the
         # failure instant would race the kill in legacy; ties are
         # measure-zero and the conservative reading drops them.  The
-        # per-hop timeline columns are nondecreasing (FIFO chains), so
-        # the vectorized path takes one searchsorted per column instead
-        # of a Python scan; both give the strictly-before prefix length.
-        if self._vector:
-            arrived = [
-                min(count_before(self._a[h], now), computed, len(self._a[h]))
-                for h in range(H)
-            ]
-            granted = [count_before(self._p[h], now) for h in range(H)]
-        else:
-            arrived = [
-                sum(1 for k in range(min(computed, len(self._a[h])))
-                    if self._a[h][k] < now)
-                for h in range(H)
-            ]
-            granted = [
-                sum(1 for k in range(len(self._p[h])) if self._p[h][k] < now)
-                for h in range(H)
-            ]
+        # per-hop timeline columns are nondecreasing (FIFO chains), so one
+        # bisect per column gives the strictly-before prefix length.
+        arrived = [
+            min(bisect_left(self._a[h], now), computed, len(self._a[h]))
+            for h in range(H)
+        ]
+        granted = [bisect_left(self._p[h], now) for h in range(H)]
         self._apply_counters(arrived, arrived)
         for h, receiver in enumerate(self.receivers):
             receiver._bytes_received = sum(self._sizes[: arrived[h]])
@@ -775,12 +755,7 @@ class PacketTrain(TrainBase):
                 self._materialize(channel)
         self._detach()
         responder = self.responder
-        if self._vector:
-            acked = count_before(self._u[0], now)
-        else:
-            acked = sum(
-                1 for k in range(len(self._u[0])) if self._u[0][k] < now
-            )
+        acked = bisect_left(self._u[0], now)
         responder.acked_count += acked
         responder.acked_bytes += sum(self._sizes[:acked])
         for k in range(acked, arrived[0]):
@@ -811,14 +786,10 @@ def plan_read_train(
     requote-mode reservations, a scheduled disturbance, a resumed stream
     (non-zero ``offset``), loopback, a foreign write receiver or another
     read serve sharing the source datanode, another train guarding a
-    needed channel — falls back to the legacy path.
+    needed channel — falls back to the legacy path.  Reference mode
+    (``HdfsConfig.reference``) always declines.
     """
-    hdfs_cfg = deployment.config.hdfs
-    if hdfs_cfg.coalesce_reads == 1:
-        return None
-    packet = hdfs_cfg.packet_size
-    n_chunks = -(-block.size // packet)
-    if 1 < hdfs_cfg.coalesce_reads < n_chunks:
+    if deployment.config.hdfs.reference:
         return None
     if deployment.network.config.requote_in_flight:
         return None
@@ -856,8 +827,9 @@ class ReadTrain(TrainBase):
 
     The stream ends at ``x_{K-1}``; :attr:`done` fires there after the
     settle batch-applies disk/NIC counters and FlowSamples.  A datanode
-    kill mid-train settles the strictly-delivered prefix and records
-    :attr:`delivered_bytes` so the reader resumes from the next replica.
+    kill mid-train cuts the plan after the chunk in flight (see
+    :meth:`_on_kill`) and records :attr:`delivered_bytes` so the reader
+    resumes from the next replica.
     """
 
     conducted_metric = "read_trains_conducted"
@@ -880,7 +852,9 @@ class ReadTrain(TrainBase):
         full, tail = divmod(block.size, packet)
         self._sizes = [packet] * full + ([tail] if tail else [])
         self._K = len(self._sizes)
-        self._total_bytes = block.size
+        #: Chunks this stream delivers: all of them, unless the source
+        #: died (then the chunks whose loop iteration had begun).
+        self._n_live = self._K
 
         self.disk = source.node.disk
         self._disk_ch = self.disk._channel
@@ -936,22 +910,27 @@ class ReadTrain(TrainBase):
             self.source.node, self.client_node
         )
 
+    def _extend_read(self, k: int) -> float:
+        """Quote chunk ``k``'s disk prefetch; returns its completion."""
+        old = self._old
+        # Chunk 0 is quoted at the stream start, chunk k at the previous
+        # row's disk-wait resolution (the legacy loop quotes the next
+        # read the instant the previous wait resolves).
+        di = self._t0 if k == 0 else self._m[k - 1]
+        self._di.append(di)
+        if old is not None and old[0][k] < self._freeze_before:
+            d = self._keep(self._disk_ch, old[0][k], old[1][k])
+        else:
+            d = self._quote(self._disk_ch, di, self._sizes[k], self.disk.rate)
+        self._d.append(d)
+        return d
+
     def _extend(self, k: int) -> None:
         """Compute chunk ``k``'s row from the three-channel recurrence."""
         size = self._sizes[k]
         old = self._old
         frozen_T = self._freeze_before
-
-        # Disk prefetch: chunk 0 is quoted at the stream start, chunk k at
-        # the previous row's disk-wait resolution (the legacy loop quotes
-        # the next read the instant the previous wait resolves).
-        di = self._t0 if k == 0 else self._m[k - 1]
-        self._di.append(di)
-        if old is not None and old[0][k] < frozen_T:
-            d = self._keep(self._disk_ch, old[0][k], old[1][k])
-        else:
-            d = self._quote(self._disk_ch, di, size, self.disk.rate)
-        self._d.append(d)
+        d = self._extend_read(k)
 
         prev = self._t0 if k == 0 else self._x[k - 1]
         m = prev if prev > d else d
@@ -967,9 +946,16 @@ class ReadTrain(TrainBase):
         self._i.append(i)
         self._x.append((e if e > i else i) + self._L)
 
+    def _plan(self) -> None:
+        """Compute every live row, plus the next chunk's disk prefetch
+        that a stream cut short by a source death had already issued."""
+        for k in range(self._n_live):
+            self._extend(k)
+        if self._n_live < self._K:
+            self._extend_read(self._n_live)
+
     def _replay(self) -> None:
         """Frozen-prefix recompute at ``now`` with current rates/floors."""
-        rows = len(self._x)
         # _old layout: [0]=disk issues, [1]=disk ends, [2]=transfer
         # issues, [3]=egress ends, [4]=ingress ends — see _extend.
         self._old = (self._di, self._d, self._m, self._e, self._i)
@@ -979,8 +965,7 @@ class ReadTrain(TrainBase):
         self._snapshot_rates()
         self._chan_busy = {id(ch): ch._busy_until for ch in self.channels}
         self._ledger = {id(ch): ([], []) for ch in self.channels}
-        for k in range(rows):
-            self._extend(k)
+        self._plan()
         self._old = None
         self._rebuild_milestones()
 
@@ -994,26 +979,19 @@ class ReadTrain(TrainBase):
     def _conduct(self) -> ProcessGenerator:
         env = self.env
         # Reads have no producer: the whole timeline is computable now.
-        for k in range(self._K):
-            self._extend(k)
+        self._plan()
         self._rebuild_milestones()
         while self._milestones:
             self._maybe_replay()
-            if self._dead:
-                return
-            if not self._milestones:
-                break
             when = self._milestones[0]
             if env.now < when:
                 timer = env.timeout_at(when)
                 yield race(env, timer, self._flag)
                 timer.cancel()
-                if self._dead:
-                    return
                 continue
             self._milestones.pop(0)
             self._fired.add("end")
-            self._settle_success()
+            self._settle()
         self._finished = True
 
     # -- settles -----------------------------------------------------------
@@ -1032,16 +1010,17 @@ class ReadTrain(TrainBase):
                 )
             )
 
-    def _settle_success(self) -> None:
+    def _settle(self) -> None:
         self._finished = True
+        rows = len(self._x)
+        moved = sum(self._sizes[:rows])
         src, dst = self.source.node, self.client_node
-        src.nic.bytes_sent += self._total_bytes
-        dst.nic.bytes_received += self._total_bytes
-        self._record_flows(self._K)
-        # Legacy commits bytes_read at each read_event issue; on success
-        # every chunk was issued.
-        self.disk.bytes_read += self._total_bytes
-        self.delivered_bytes = self._total_bytes
+        src.nic.bytes_sent += moved
+        dst.nic.bytes_received += moved
+        self._record_flows(rows)
+        # Legacy commits bytes_read at each read_event issue.
+        self.disk.bytes_read += sum(self._sizes[: len(self._d)])
+        self.delivered_bytes = moved
         for channel in self.channels:
             issues, ends = self._ledger[id(channel)]
             if ends and ends[-1] > channel._busy_until:
@@ -1049,36 +1028,25 @@ class ReadTrain(TrainBase):
         self._detach()
         self.serve.on_kill = None
         if not self.done.triggered:
-            self.done.succeed(self.block)
+            self.done.succeed(None if self.failed else self.block)
 
     def _on_kill(self) -> None:
-        """Source died mid-train: settle the strictly-delivered prefix.
+        """Source died mid-train: cut the plan after the chunk in flight.
 
         Runs synchronously inside :meth:`Datanode.kill` (via
         :meth:`ReadServe.abort`, which has already released the serve
-        slot).  Chunks whose transfer completed strictly before now were
-        delivered; the reader resumes from :attr:`delivered_bytes` on the
-        next-ranked replica.
+        slot).  The per-chunk loop checks the source only between
+        chunks, so the chunk whose iteration began strictly before now
+        still completes, as does the disk read it issued for the next
+        chunk.  The reader learns of the death when that chunk lands and
+        resumes from :attr:`delivered_bytes` on the next-ranked replica;
+        if it was the block's last chunk the read simply completes.
         """
-        if self._finished or self._dead:
+        if self._finished or self.failed is not None:
             return
-        self._dead = True
-        now = self.env.now
-        delivered = sum(1 for x in self._x if x < now)
-        issued_reads = sum(1 for di in self._di if di < now)
-        moved = sum(self._sizes[:delivered])
-        if moved:
-            src, dst = self.source.node, self.client_node
-            src.nic.bytes_sent += moved
-            dst.nic.bytes_received += moved
-            self._record_flows(delivered)
-        self.disk.bytes_read += sum(self._sizes[:issued_reads])
-        self.delivered_bytes = moved
+        started = 1 + bisect_left(self._x, self.env.now)
+        if started >= self._K:
+            return
         self.failed = self.source.name
-        for channel in self.channels:
-            if id(channel) in self._guarded:
-                self._materialize(channel)
-        self._detach()
-        self._bump()  # wake the conductor so it can exit promptly
-        if not self.done.triggered:
-            self.done.succeed(None)
+        self._n_live = started
+        self._bump()  # the conductor replays the cut plan right now

@@ -28,17 +28,15 @@ This module defines the three strategy surfaces:
     base implementations *are* the pre-framework behavior — the
     ``default`` registry entry is proven byte-identical to the
     pre-refactor code paths by the golden suites — so a subclass only
-    overrides the decisions it wants to change.  The design follows the
-    ``Namenode.speed_registry_factory`` swap pattern: hooks default to
-    stock behavior, and equivalence is provable because the default hook
-    leaves every RNG draw sequence untouched.
+    overrides the decisions it wants to change.  Hooks default to stock
+    behavior, and equivalence is provable because the default hook leaves
+    every RNG draw sequence untouched.
 
 :class:`ClientTuning`
     Per-upload knob overrides a policy hands a
     :class:`~repro.smarth.multi_writer.SmarthClient` at the start of each
-    ``put``: the Algorithm 2 threshold, the pipeline cap, and the
-    packet-train coalescing bound.  ``None`` fields mean "keep the
-    configured value".
+    ``put``: the Algorithm 2 threshold and the pipeline cap.  ``None``
+    fields mean "keep the configured value".
 """
 
 from __future__ import annotations
@@ -162,10 +160,6 @@ class ClientTuning:
     #: Concurrent-pipeline cap; overrides the ``num/repli`` rule.  Must
     #: not exceed it — the §IV-C invariant is checked against the rule.
     max_pipelines: Optional[int] = None
-    #: Packet-train coalescing bound, with ``HdfsConfig.coalesce_packets``
-    #: semantics: ``0`` coalesces whole blocks, ``1`` disables trains,
-    #: ``n > 1`` coalesces only blocks of at most ``n`` packets.
-    coalesce_packets: Optional[int] = None
 
 
 #: The identity tuning: every knob keeps its configured value.

@@ -9,10 +9,9 @@ Two composable ways to select a policy:
   knowledge across uploads that each build a fresh deployment).
 
 * **Ambient**: :func:`use_policy` swaps the module-level default that
-  every deployment constructed *without* an explicit policy picks up —
-  the same pattern as ``Namenode.speed_registry_factory``, so existing
-  drivers (experiments, workloads, the chaos campaign) run under a
-  policy without threading a parameter through every call site.
+  every deployment constructed *without* an explicit policy picks up,
+  so existing drivers (experiments, workloads, the chaos campaign) run
+  under a policy without threading a parameter through every call site.
 
 Built-in policies self-register on first use via their module import;
 :func:`register_policy` adds new ones (see DESIGN.md §12).

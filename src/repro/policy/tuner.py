@@ -19,7 +19,7 @@ try each candidate :class:`~repro.policy.base.ClientTuning` in turn;
 after that every upload uses the arm with the best mean observed
 throughput (ties break toward the later, less-exploratory arm).  The
 grid defaults to threshold candidates but can carry any tuning —
-pipeline caps and packet-train bounds included.
+pipeline caps included.
 
 The tuner's state lives on the *policy instance*, so passing one
 instance across deployments (``resolve_policy`` re-binds rather than
@@ -123,7 +123,6 @@ class OnlineTunerPolicy(Policy):
                 {
                     "local_opt_threshold": t.local_opt_threshold,
                     "max_pipelines": t.max_pipelines,
-                    "coalesce_packets": t.coalesce_packets,
                 }
                 for t in self.grid
             ],

@@ -19,67 +19,26 @@ are deliberately **not** vectorized: prefix-scan rewrites reassociate the
 float additions and drift in the last ulp.  Those stay scalar; the batch
 kernel's wins come from everything around them.
 
-Falls back to scalar loops when numpy is unavailable, so the knob
-(``HdfsConfig.batch_completions``) degrades gracefully rather than
-importing a hard dependency into the simulation core.  The hypothesis
-property suite (``tests/sim/test_batch.py``) drives every helper against
-its scalar reference over random inputs and asserts equality with ``==``,
-not ``approx``.
+The hypothesis property suite (``tests/sim/test_batch.py``) drives every
+helper against its scalar reference over random inputs and asserts
+equality with ``==``, not ``approx``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Sequence
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-except ImportError:  # pragma: no cover - container always ships numpy
-    _np = None
+import numpy as _np
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.node import Node
 
-__all__ = [
-    "HAVE_NUMPY",
-    "count_before",
-    "count_at_or_before",
-    "buffered_high_water",
-    "effective_rates",
-]
-
-HAVE_NUMPY = _np is not None
+__all__ = ["buffered_high_water", "effective_rates"]
 
 #: Below this many elements the numpy round-trip costs more than the
 #: Python loop it replaces; helpers take the scalar branch.
 _MIN_VECTOR = 8
-
-
-def count_before(values: Sequence[float], t: float) -> int:
-    """How many of the (sorted, nondecreasing) ``values`` are ``< t``.
-
-    Equivalent to ``sum(1 for v in values if v < t)`` for sorted input —
-    the strictly-before prefix counts the train's error settle takes over
-    its monotone per-hop timeline arrays.
-    """
-    if _np is not None and len(values) >= _MIN_VECTOR:
-        return int(
-            _np.searchsorted(
-                _np.asarray(values, dtype=_np.float64), t, side="left"
-            )
-        )
-    return bisect_left(values, t)
-
-
-def count_at_or_before(values: Sequence[float], t: float) -> int:
-    """How many of the (sorted, nondecreasing) ``values`` are ``<= t``."""
-    if _np is not None and len(values) >= _MIN_VECTOR:
-        return int(
-            _np.searchsorted(
-                _np.asarray(values, dtype=_np.float64), t, side="right"
-            )
-        )
-    return bisect_right(values, t)
 
 
 def buffered_high_water(
@@ -99,7 +58,7 @@ def buffered_high_water(
     """
     if rows <= 0:
         return high
-    if _np is not None and rows >= _MIN_VECTOR:
+    if rows >= _MIN_VECTOR:
         grant_arr = _np.asarray(grants[:rows], dtype=_np.float64)
         release_arr = _np.asarray(releases, dtype=_np.float64)
         freed = _np.searchsorted(release_arr, grant_arr, side="left")
@@ -133,7 +92,7 @@ def effective_rates(table, pairs: "Sequence[tuple[Node, Node]]") -> list[float]:
     """
     from ..net.throttle import NodeThrottle, PairThrottle, RackBoundaryThrottle
 
-    if _np is None or len(pairs) < _MIN_VECTOR:
+    if len(pairs) < _MIN_VECTOR:
         return _scalar_rates(table, pairs)
 
     src_names = _np.array([src.name for src, _dst in pairs])

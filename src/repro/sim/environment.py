@@ -41,11 +41,6 @@ class Environment:
     #: schedules from paying rebuild costs for a handful of cancellations.
     COMPACT_MIN_TOMBSTONES = 64
 
-    #: Default for :attr:`lazy_cancellation` on new environments; the
-    #: equivalence suite flips this class-wide to run whole experiments on
-    #: the pre-tombstone scheduler.
-    LAZY_CANCELLATION = True
-
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
@@ -63,10 +58,9 @@ class Environment:
         self.heap_high_water = 0
         #: When False, :meth:`Event.cancel` is a no-op and abandoned timers
         #: stay in the heap until they fire as stale events — the
-        #: pre-tombstone scheduler, kept switchable so equivalence tests
-        #: and the scale benchmark can prove both modes produce identical
-        #: simulated timelines.
-        self.lazy_cancellation: bool = self.LAZY_CANCELLATION
+        #: pre-tombstone reference scheduler.  An HDFS deployment switches
+        #: it off in reference mode (``HdfsConfig.reference``).
+        self.lazy_cancellation = True
 
     # -- introspection -----------------------------------------------------
     @property

@@ -109,8 +109,8 @@ class Event:
 
         With :attr:`Environment.lazy_cancellation` switched off this is a
         complete no-op: abandoned timers stay scheduled and fire as stale
-        events, reproducing the pre-tombstone scheduler for the
-        equivalence suite and the scale benchmark's legacy mode.
+        events, reproducing the pre-tombstone scheduler (the reference
+        mode selected by ``HdfsConfig.reference``).
         """
         if not self.env.lazy_cancellation:
             return

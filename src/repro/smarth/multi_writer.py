@@ -352,7 +352,6 @@ class SmarthClient:
             and not pipeline.sent_seqs
             and not pipeline.acked_seqs
             and pipeline.recoveries == 0
-            and self._train_allowed(pipeline.plan)
         ):
             train = plan_train(
                 self.deployment,
@@ -411,26 +410,18 @@ class SmarthClient:
         tracer.end(t_stream, env.now)
         return _OK, None
 
-    def _train_allowed(self, plan: BlockPlan) -> bool:
-        """Per-upload packet-train gate from the policy's tuning.
-
-        Mirrors ``HdfsConfig.coalesce_packets`` semantics (``0`` whole
-        blocks, ``1`` disabled, ``n > 1`` only blocks of at most ``n``
-        packets); ``None`` defers entirely to the config, which
-        ``plan_train`` applies itself.
-        """
-        bound = self._tuning.coalesce_packets
-        if bound is None or bound == 0:
-            return True
-        if bound == 1:
-            return False
-        return plan.n_packets <= bound
-
     def _send_packet(
         self, pipeline: SmarthPipeline, packet: Packet
     ) -> ProcessGenerator:
-        """Deliver one packet to the first datanode (reserve + transfer)."""
-        yield from pipeline.handle.receivers[0].send_in(self.node, packet)
+        """Deliver one packet to the first datanode (reserve + transfer).
+
+        The send loop interrupts an in-flight send when the pipeline
+        fails; the abandoned transfer then never lands.
+        """
+        try:
+            yield from pipeline.handle.receivers[0].send_in(self.node, packet)
+        except Interrupt:
+            return
 
     def _stream_train(
         self,

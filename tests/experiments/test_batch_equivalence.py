@@ -1,91 +1,33 @@
-"""On-vs-off equivalence of the batch completion kernel at experiment scale.
+"""The batched feeder at experiment scale (runs shared via ``tests.oracle``).
 
-Mirror of ``test_train_equivalence.py`` for the second fast-path knob:
-``batch_completions=0`` falls back to the scalar per-row conductor, and
-the complete result tables — plus a pod campaign where the batched
-feeder provably engages — must be identical either way.  Together with
-the hypothesis suite (``tests/sim/test_batch.py``) this closes the
-bit-identity claim from both ends: property tests pin every kernel
-helper to its scalar reference, and these runs pin the integrated
-timing at experiment scale.
+On the campaign pods every file fits the data queue, so the feeder
+retires each block's packets without heap events.
 """
 
-from __future__ import annotations
-
-import json
-
-from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.figures import experiment_config
-from repro.faults.campaign import ChaosSchedule, report_json, run_campaign
+from repro.config import SimulationConfig
 from repro.workloads import campaign10k, run_pods_single_env
-
-SCALE = 0.25
-SCALAR_CONFIG = experiment_config().with_hdfs(batch_completions=0)
-
-
-def _normalized(result) -> dict:
-    rows = [
-        dict(zip(result.columns, row)) if not isinstance(row, dict) else row
-        for row in result.rows
-    ]
-    return json.loads(
-        json.dumps(
-            {
-                "rows": rows,
-                "measured": {k: str(v) for k, v in result.measured.items()},
-            },
-            sort_keys=True,
-        )
-    )
+from tests.oracle.harness import chaos_report, experiment
 
 
 def test_fig5_identical_with_and_without_batching():
-    fast = _normalized(ALL_EXPERIMENTS["fig5"](scale=SCALE))
-    scalar = _normalized(
-        ALL_EXPERIMENTS["fig5"](config=SCALAR_CONFIG, scale=SCALE)
-    )
-    assert fast == scalar
+    assert experiment("fig5", False) == experiment("fig5", True)
 
 
 def test_faultrec_identical_with_and_without_batching():
-    fast = _normalized(ALL_EXPERIMENTS["faultrec"](scale=SCALE))
-    scalar = _normalized(
-        ALL_EXPERIMENTS["faultrec"](config=SCALAR_CONFIG, scale=SCALE)
-    )
-    assert fast == scalar
+    assert experiment("faultrec", False) == experiment("faultrec", True)
 
 
-def test_chaos_report_identical_per_seed(monkeypatch):
-    """A fixed-seed chaos campaign produces a byte-identical report in
-    both modes (disturbances invalidate trains, so the batched feeder
-    stands down exactly where the scalar conductor would replay)."""
-    fast = run_campaign(seed=11, runs=2, protocols=("hdfs", "smarth"), scale=0.1)
-
-    original = ChaosSchedule.config
-    monkeypatch.setattr(
-        ChaosSchedule,
-        "config",
-        lambda self: original(self).with_hdfs(batch_completions=0),
-    )
-    scalar = run_campaign(
-        seed=11, runs=2, protocols=("hdfs", "smarth"), scale=0.1
-    )
-    assert report_json(fast) == report_json(scalar)
+def test_chaos_report_identical_per_seed():
+    assert chaos_report(False) == chaos_report(True)
 
 
 def test_campaign_timeline_identical_and_fewer_events():
-    """The engaged path: on the campaign pod shape (whole file inside
-    the data-queue bound) the batched feeder must retire packet traffic
-    analytically — strictly fewer heap events — while the per-client
-    timeline stays bit-identical."""
-    from repro.config import SimulationConfig
-
-    plan = campaign10k(scale=0.02)
-    batch = run_pods_single_env(plan, config=SimulationConfig())
-    scalar = run_pods_single_env(
-        plan, config=SimulationConfig().with_hdfs(batch_completions=0)
+    plan = campaign10k(scale=0.01)  # one pod of 100 clients
+    fast = run_pods_single_env(plan, config=SimulationConfig())
+    reference = run_pods_single_env(
+        plan, config=SimulationConfig().with_hdfs(reference=True)
     )
-    assert batch.timeline == scalar.timeline
-    assert batch.fully_replicated and scalar.fully_replicated
-    assert batch.bytes_moved == scalar.bytes_moved
-    assert batch.events_processed < scalar.events_processed
+    assert fast.timeline == reference.timeline
+    assert fast.fully_replicated and reference.fully_replicated
+    assert fast.bytes_moved == reference.bytes_moved
+    assert fast.events_processed < reference.events_processed

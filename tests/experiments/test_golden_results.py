@@ -6,7 +6,9 @@ is only a valid optimisation if it is *behaviour-preserving*: these
 tests pin every row and headline number to the values the event-by-event
 FIFO model produced.  Any change to simulated timing — intentional or
 not — fails here and forces the golden file to be regenerated (and the
-change justified) explicitly.
+change justified) explicitly.  Reference mode (``HdfsConfig.reference``,
+the per-packet loops with every fast path off) must reproduce the same
+goldens.
 """
 
 from __future__ import annotations
@@ -17,23 +19,10 @@ import pathlib
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
+from tests.oracle.harness import SCALE, chaos_report, experiment, normalized
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_scale025.json"
 GOLDEN_FAULTS_PATH = pathlib.Path(__file__).parent / "golden_faults.json"
-SCALE = 0.25
-
-
-def _normalize_rows(result) -> list[dict]:
-    rows = [
-        dict(zip(result.columns, row)) if not isinstance(row, dict) else row
-        for row in result.rows
-    ]
-    # JSON round-trip so tuples/keys compare like the stored snapshot.
-    return json.loads(json.dumps(rows, sort_keys=True))
-
-
-def _normalize_measured(result) -> dict[str, str]:
-    return {k: str(v) for k, v in result.measured.items()}
 
 
 @pytest.fixture(scope="module")
@@ -41,21 +30,37 @@ def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
+def _assert_matches(table: dict, expected: dict, label: str) -> None:
+    rows = table["rows"]
+    assert len(rows) == len(expected["rows"])
+    for i, (mine, want) in enumerate(zip(rows, expected["rows"])):
+        assert mine == want, f"{label} row {i} diverged from the golden run"
+    assert table["measured"] == expected["measured"]
+
+
 @pytest.mark.parametrize("fig_id", ["fig5", "fig9"])
 def test_tables_match_seed_exactly(fig_id: str, golden: dict) -> None:
-    result = ALL_EXPERIMENTS[fig_id](scale=SCALE)
-    rows = _normalize_rows(result)
-    expected = golden[fig_id]["rows"]
-    assert len(rows) == len(expected)
-    for i, (mine, want) in enumerate(zip(rows, expected)):
-        assert mine == want, f"{fig_id} row {i} diverged from the seed"
-    assert _normalize_measured(result) == golden[fig_id]["measured"]
+    _assert_matches(experiment(fig_id, False), golden[fig_id], fig_id)
+
+
+@pytest.mark.parametrize("fig_id", ["fig5", "fig9", "faultrec"])
+def test_reference_mode_matches_the_same_goldens(
+    fig_id: str, golden: dict
+) -> None:
+    if fig_id == "faultrec":
+        golden = json.loads(GOLDEN_FAULTS_PATH.read_text())
+    _assert_matches(experiment(fig_id, True), golden[fig_id], fig_id)
+
+
+def test_chaos_report_identical_in_reference_mode() -> None:
+    """A fixed-seed chaos campaign reports byte-identically in both modes."""
+    assert chaos_report(False) == chaos_report(True)
 
 
 def test_rerun_is_deterministic(golden: dict) -> None:
     """Two runs in one process are identical (no hidden global state)."""
-    first = _normalize_rows(ALL_EXPERIMENTS["fig5"](scale=SCALE))
-    second = _normalize_rows(ALL_EXPERIMENTS["fig5"](scale=SCALE))
+    first = experiment("fig5", False)["rows"]
+    second = normalized(ALL_EXPERIMENTS["fig5"](scale=SCALE))["rows"]
     assert first == second == golden["fig5"]["rows"]
 
 
@@ -67,12 +72,7 @@ def test_fault_scenario_matches_golden() -> None:
     of the killed datanode must regenerate this golden file explicitly.
     """
     golden = json.loads(GOLDEN_FAULTS_PATH.read_text())
-    result = ALL_EXPERIMENTS["faultrec"](scale=SCALE)
-    rows = _normalize_rows(result)
-    expected = golden["faultrec"]["rows"]
-    assert len(rows) == len(expected)
-    for i, (mine, want) in enumerate(zip(rows, expected)):
-        assert mine == want, f"faultrec row {i} diverged from the golden run"
-    assert _normalize_measured(result) == golden["faultrec"]["measured"]
+    table = experiment("faultrec", False)
+    _assert_matches(table, golden["faultrec"], "faultrec")
     # Sanity: the schedule actually forced a recovery on both systems.
-    assert all(row["recoveries"] >= 1 for row in rows)
+    assert all(row["recoveries"] >= 1 for row in table["rows"])

@@ -1,69 +1,15 @@
-"""On-vs-off equivalence of packet-train coalescing at experiment scale.
+"""Packet trains at experiment scale (runs shared via ``tests.oracle``)."""
 
-The golden-results test already pins the default (trains-on) runs to the
-seed snapshots; this file closes the loop by running the same drivers
-with ``coalesce_packets=1`` (the per-packet legacy loop) and comparing
-the complete result tables, so the equivalence claim does not depend on
-which mode the snapshots were taken in.
-"""
-
-from __future__ import annotations
-
-import json
-
-from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.figures import experiment_config
-from repro.faults.campaign import ChaosSchedule, report_json, run_campaign
-
-SCALE = 0.25
-LEGACY_CONFIG = experiment_config().with_hdfs(coalesce_packets=1)
-
-
-def _normalized(result) -> dict:
-    rows = [
-        dict(zip(result.columns, row)) if not isinstance(row, dict) else row
-        for row in result.rows
-    ]
-    return json.loads(
-        json.dumps(
-            {
-                "rows": rows,
-                "measured": {k: str(v) for k, v in result.measured.items()},
-            },
-            sort_keys=True,
-        )
-    )
+from tests.oracle.harness import chaos_report, experiment
 
 
 def test_fig5_identical_with_and_without_trains():
-    fast = _normalized(ALL_EXPERIMENTS["fig5"](scale=SCALE))
-    legacy = _normalized(
-        ALL_EXPERIMENTS["fig5"](config=LEGACY_CONFIG, scale=SCALE)
-    )
-    assert fast == legacy
+    assert experiment("fig5", False) == experiment("fig5", True)
 
 
 def test_faultrec_identical_with_and_without_trains():
-    fast = _normalized(ALL_EXPERIMENTS["faultrec"](scale=SCALE))
-    legacy = _normalized(
-        ALL_EXPERIMENTS["faultrec"](config=LEGACY_CONFIG, scale=SCALE)
-    )
-    assert fast == legacy
+    assert experiment("faultrec", False) == experiment("faultrec", True)
 
 
-def test_chaos_report_identical_per_seed(monkeypatch):
-    """A fixed-seed chaos campaign produces a byte-identical report in
-    both modes (every schedule registers its disturbances up front, so
-    trains stand down and the per-packet timeline replays verbatim)."""
-    fast = run_campaign(seed=11, runs=2, protocols=("hdfs", "smarth"), scale=0.1)
-
-    original = ChaosSchedule.config
-    monkeypatch.setattr(
-        ChaosSchedule,
-        "config",
-        lambda self: original(self).with_hdfs(coalesce_packets=1),
-    )
-    legacy = run_campaign(
-        seed=11, runs=2, protocols=("hdfs", "smarth"), scale=0.1
-    )
-    assert report_json(fast) == report_json(legacy)
+def test_chaos_report_identical_per_seed():
+    assert chaos_report(False) == chaos_report(True)

@@ -218,12 +218,12 @@ class TestInvariantMonitorUnit:
 
 
 class TestLegacyLoopCampaign:
-    """Regression: the chaos invariants hold with coalescing disabled.
+    """Regression: the chaos invariants hold in reference mode.
 
-    ``coalesce_packets=1`` forces every block through the per-packet
-    legacy loop, so this campaign exercises the exact recovery paths the
-    packet train bypasses (mid-stream error races, requote handling)
-    under the same seed-driven fault schedules."""
+    ``reference=True`` forces every block through the per-packet legacy
+    loop, so this campaign exercises the exact recovery paths the packet
+    train bypasses (mid-stream error races, requote handling) under the
+    same seed-driven fault schedules."""
 
     SEED = 7
     RUNS = 4
@@ -232,7 +232,7 @@ class TestLegacyLoopCampaign:
     @pytest.fixture(scope="class")
     def legacy_campaign(self, request) -> dict:
         original = ChaosSchedule.config
-        patched = lambda self: original(self).with_hdfs(coalesce_packets=1)
+        patched = lambda self: original(self).with_hdfs(reference=True)
         ChaosSchedule.config = patched
         request.addfinalizer(
             lambda: setattr(ChaosSchedule, "config", original)

@@ -1,96 +1,42 @@
-"""Packet-train coalescing: equivalence and invalidation tests.
+"""Packet-train coalescing: engagement, recovery and predicate tests.
 
-The fast path (``HdfsConfig.coalesce_packets == 0``, the default) must be
-*behaviour-preserving*: every observable — upload duration, the protocol
-journal, NIC/disk byte counters, buffer high-water marks, recovery counts
-— must be bit-identical to the per-packet loop (``coalesce_packets=1``).
-These tests drive both modes through steady-state uploads, mid-train
-throttle changes (the split/re-quote path) and unscheduled datanode kills
-(the error settle), comparing the full observable history.
+The fast path must be *behaviour-preserving*: every observable must be
+bit-identical to the per-packet loop that ``HdfsConfig.reference``
+selects.  The comparisons run in the differential oracle
+(``tests/oracle``); the steady-state, mid-train throttle (split/re-quote)
+and unscheduled-kill (error settle) cases below are its fixed scenarios.
 """
 
 import pytest
 
 from repro.cluster import SMALL, build_homogeneous
 from repro.config import SimulationConfig
-from repro.hdfs import HdfsClient, HdfsDeployment
+from repro.hdfs import HdfsDeployment
 from repro.hdfs.train import plan_train
-from repro.net.throttle import NodeThrottle
 from repro.sim import Environment
-from repro.smarth import SmarthClient
-from repro.units import KB, MB, mbps
-
-UPLOAD = 64 * MB
+from repro.units import KB, MB
+from tests.oracle import harness as oracle
 
 
-def _config(coalesce: int) -> SimulationConfig:
+def _config(reference: bool = False) -> SimulationConfig:
     return SimulationConfig().with_hdfs(
-        block_size=16 * MB, packet_size=64 * KB, coalesce_packets=coalesce
+        block_size=16 * MB, packet_size=64 * KB, reference=reference
     )
-
-
-def _run(coalesce, chaos=None, client_cls=HdfsClient, size=UPLOAD):
-    env = Environment()
-    cluster = build_homogeneous(
-        env, SMALL, n_datanodes=9, config=_config(coalesce)
-    )
-    deployment = HdfsDeployment(cluster)
-    client = client_cls(deployment)
-    if chaos is not None:
-        env.process(chaos(env, deployment), name="chaos")
-    result = env.run(until=env.process(client.put("/data/f.bin", size)))
-    return result, deployment
-
-
-def _observables(result, deployment):
-    journal = [
-        (e.time, e.kind, e.subject, tuple(sorted(e.details.items())))
-        for e in deployment.journal.events()
-    ]
-    counters = {
-        name: (
-            dn.node.nic.bytes_sent,
-            dn.node.nic.bytes_received,
-            dn.node.disk.bytes_written,
-        )
-        for name, dn in deployment.datanodes.items()
-    }
-    return {
-        "duration": result.duration,
-        "recoveries": result.recoveries,
-        "pipelines": result.pipelines,
-        "journal": journal,
-        "counters": counters,
-    }
-
-
-def _assert_equivalent(chaos=None, client_cls=HdfsClient):
-    legacy = _observables(*_run(1, chaos=chaos, client_cls=client_cls))
-    train = _observables(*_run(0, chaos=chaos, client_cls=client_cls))
-    for key in legacy:
-        assert train[key] == legacy[key], f"{key} diverged from legacy"
 
 
 class TestSteadyStateEquivalence:
     def test_hdfs_upload_bit_identical(self):
-        _assert_equivalent()
+        oracle.assert_matches_reference(oracle.STEADY)
 
     def test_smarth_upload_bit_identical(self):
-        _assert_equivalent(client_cls=SmarthClient)
+        oracle.assert_matches_reference(oracle.STEADY_SMARTH)
 
     def test_train_actually_engages(self):
         """The fast path must reduce events, not silently decline."""
-        env_events = {}
-        for coalesce in (1, 0):
-            env = Environment()
-            cluster = build_homogeneous(
-                env, SMALL, n_datanodes=9, config=_config(coalesce)
-            )
-            deployment = HdfsDeployment(cluster)
-            client = HdfsClient(deployment)
-            env.run(until=env.process(client.put("/data/f.bin", UPLOAD)))
-            env_events[coalesce] = env.events_processed
-        assert env_events[0] * 3 <= env_events[1]
+        fast = oracle.observe(oracle.STEADY, False)
+        reference = oracle.observe(oracle.STEADY, True)
+        assert fast["trains"] > 0
+        assert fast["events"] * 3 <= reference["events"]
 
 
 class TestMidTrainThrottle:
@@ -100,38 +46,10 @@ class TestMidTrainThrottle:
 
     @pytest.mark.parametrize("at", [0.4, 1.1, 2.2])
     def test_throttle_splits_train(self, at):
-        def chaos(env, deployment):
-            yield env.timeout(at)
-            busy = [
-                d
-                for d in deployment.datanodes.values()
-                if d.active_receivers > 0
-            ]
-            for dn in busy[:2]:
-                deployment.network.throttles.add(
-                    NodeThrottle(dn.name, mbps(40))
-                )
-            yield env.timeout(0.9)
-            deployment.network.throttles.remove_matching(
-                lambda rule: isinstance(rule, NodeThrottle)
-            )
-
-        _assert_equivalent(chaos=chaos)
+        oracle.assert_matches_reference(oracle.THROTTLED[at])
 
     def test_throttle_splits_smarth_train(self):
-        def chaos(env, deployment):
-            yield env.timeout(0.8)
-            busy = [
-                d
-                for d in deployment.datanodes.values()
-                if d.active_receivers > 0
-            ]
-            for dn in busy[:2]:
-                deployment.network.throttles.add(
-                    NodeThrottle(dn.name, mbps(40))
-                )
-
-        _assert_equivalent(chaos=chaos, client_cls=SmarthClient)
+        oracle.assert_matches_reference(oracle.THROTTLED_SMARTH)
 
 
 class TestMidTrainKill:
@@ -141,137 +59,71 @@ class TestMidTrainKill:
 
     @pytest.mark.parametrize("at", [0.3, 1.37, 2.6])
     def test_kill_settles_bit_identical(self, at):
-        def chaos(env, deployment):
-            yield env.timeout(at)
-            busy = [
-                d
-                for d in deployment.datanodes.values()
-                if d.active_receivers > 0 and d.node.alive
-            ]
-            if busy:
-                busy[0].kill()
-
-        _assert_equivalent(chaos=chaos)
+        oracle.assert_matches_reference(oracle.KILLED[at])
 
     def test_kill_settles_smarth_train(self):
-        def chaos(env, deployment):
-            yield env.timeout(1.1)
-            busy = [
-                d
-                for d in deployment.datanodes.values()
-                if d.active_receivers > 0 and d.node.alive
-            ]
-            if busy:
-                busy[0].kill()
-
-        _assert_equivalent(chaos=chaos, client_cls=SmarthClient)
+        oracle.assert_matches_reference(oracle.KILLED_SMARTH)
 
     def test_recovery_still_happens(self):
-        def chaos(env, deployment):
-            yield env.timeout(1.0)
-            busy = [
-                d
-                for d in deployment.datanodes.values()
-                if d.active_receivers > 0 and d.node.alive
-            ]
-            busy[0].kill()
-
-        result, deployment = _run(0, chaos=chaos)
-        assert result.recoveries >= 1
-        assert deployment.namenode.file_fully_replicated("/data/f.bin")
+        fast = oracle.observe(oracle.KILLED[1.37], False)
+        assert fast["write"][1] >= 1  # recoveries
+        healed = fast["invariants"]["replication_convergence"]
+        assert healed["checks"] > 0 and not healed["violations"]
 
 
 class TestPredicateDeclines:
     """`plan_train` must stand down whenever coalescing could not be
     proven equivalent; these paths fall back to the per-packet loop."""
 
-    def _fresh_pipeline(self, coalesce=0):
+    def _fresh_pipeline(self, reference=False):
         env = Environment()
         cluster = build_homogeneous(
-            env, SMALL, n_datanodes=9, config=_config(coalesce)
+            env, SMALL, n_datanodes=9, config=_config(reference)
         )
-        return env, cluster, HdfsDeployment(cluster)
+        return cluster, HdfsDeployment(cluster)
 
-    def _open(self, deployment, client_node, plan_size=16 * MB):
+    def _plan(self, cluster, deployment, fresh=True):
+        """Open a pipeline for a fresh 16 MB block and ask for a train."""
         from repro.hdfs.client.output_stream import plan_file
         from repro.hdfs.client.responder import PacketResponder
         from repro.sim import Store
 
         env = deployment.env
         namenode = deployment.namenode
-        plan = plan_file(plan_size, deployment.config.hdfs)[0]
+        plan = plan_file(16 * MB, deployment.config.hdfs)[0]
 
         def setup(env):
             yield from namenode.create_file("client", "/t.bin")
-            result = yield from namenode.add_block(
+            return (yield from namenode.add_block(
                 "client", "/t.bin", plan.size, excluded=set()
-            )
-            return result
+            ))
 
-        proc = env.process(setup(env))
-        env.run(until=proc)
-        result = proc.value
+        result = env.run(until=env.process(setup(env)))
+        client = cluster.client_host
         handle = deployment.open_pipeline(
-            result.block,
-            result.targets,
-            client_node,
+            result.block, result.targets, client,
             buffer_bytes=deployment.config.hdfs.socket_buffer,
         )
         responder = PacketResponder(env, result.block, handle.ack_in)
         queue = Store(env, capacity=8)
-        return plan, handle, responder, queue
+        return plan_train(
+            deployment, client, handle, responder, queue, plan, fresh=fresh
+        )
 
     def test_declines_when_coalescing_disabled(self):
-        env, cluster, deployment = self._fresh_pipeline(coalesce=1)
-        plan, handle, responder, queue = self._open(
-            deployment, cluster.client_host
-        )
-        assert (
-            plan_train(
-                deployment, cluster.client_host, handle, responder, queue, plan
-            )
-            is None
-        )
+        """Reference mode runs the per-packet loop: no train, ever."""
+        assert self._plan(*self._fresh_pipeline(reference=True)) is None
 
     def test_declines_on_scheduled_disturbance(self):
-        env, cluster, deployment = self._fresh_pipeline()
+        cluster, deployment = self._fresh_pipeline()
         deployment.scheduled_disturbances.append(1.0)
-        plan, handle, responder, queue = self._open(
-            deployment, cluster.client_host
-        )
-        assert (
-            plan_train(
-                deployment, cluster.client_host, handle, responder, queue, plan
-            )
-            is None
-        )
+        assert self._plan(cluster, deployment) is None
 
     def test_declines_on_resend(self):
-        env, cluster, deployment = self._fresh_pipeline()
-        plan, handle, responder, queue = self._open(
-            deployment, cluster.client_host
-        )
-        assert (
-            plan_train(
-                deployment,
-                cluster.client_host,
-                handle,
-                responder,
-                queue,
-                plan,
-                fresh=False,
-            )
-            is None
-        )
+        assert self._plan(*self._fresh_pipeline(), fresh=False) is None
 
     def test_plans_train_on_clean_pipeline(self):
-        env, cluster, deployment = self._fresh_pipeline()
-        plan, handle, responder, queue = self._open(
-            deployment, cluster.client_host
-        )
-        train = plan_train(
-            deployment, cluster.client_host, handle, responder, queue, plan
-        )
+        train = self._plan(*self._fresh_pipeline())
         assert train is not None
         assert train.sent_count == 0
         assert len(train.channels) >= 3
@@ -281,15 +133,6 @@ class TestPredicateDeclines:
         so fault experiments replay the per-packet timeline verbatim."""
         from repro.faults import FaultInjector
 
-        env, cluster, deployment = self._fresh_pipeline()
-        injector = FaultInjector(deployment)
-        injector.throttle_at("dn1", 50.0, at=5.0)
-        plan, handle, responder, queue = self._open(
-            deployment, cluster.client_host
-        )
-        assert (
-            plan_train(
-                deployment, cluster.client_host, handle, responder, queue, plan
-            )
-            is None
-        )
+        cluster, deployment = self._fresh_pipeline()
+        FaultInjector(deployment).throttle_at("dn1", 50.0, at=5.0)
+        assert self._plan(cluster, deployment) is None

@@ -1,13 +1,8 @@
-"""On-vs-off equivalence of read-train coalescing.
+"""Read trains against the per-chunk loop ``HdfsConfig.reference`` runs.
 
-``coalesce_reads=0`` (the default) collapses pristine block reads into
-one analytic :class:`~repro.hdfs.train.ReadTrain`; ``coalesce_reads=1``
-runs the legacy per-chunk prefetch loop.  These tests pin the two modes
-to *identical* observable history — durations, sources, the full
-journal, NIC/disk byte counters and flow samples — across randomized
-sizes, seeds and cluster shapes, including mixed read/write workloads
-where the train's channel guards must chain foreign traffic exactly
-like legacy in-flight chunks.
+The differential oracle (``tests/oracle``) pins both to identical
+history over read-shaped scenarios, including reads racing a writer
+whose traffic the train's channel guards must chain like legacy chunks.
 """
 
 from __future__ import annotations
@@ -15,107 +10,33 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import SMALL, build_homogeneous
-from repro.config import SimulationConfig
-from repro.hdfs import HdfsDeployment, HdfsReader
-from repro.sim import Environment
-from repro.smarth import SmarthDeployment
-from repro.units import KB, MB
+from repro.units import MB
+from tests.oracle import harness as oracle
+from tests.oracle.harness import Scenario
 
 BLOCK = 2 * MB
-PACKET = 64 * KB
-
-
-def run_read(
-    seed: int,
-    size: int,
-    coalesce: int,
-    n_datanodes: int = 9,
-    smarth: bool = False,
-    mixed: bool = False,
-):
-    """One write-then-read run; returns its full observable fingerprint."""
-    env = Environment()
-    cfg = SimulationConfig(seed=seed).with_hdfs(
-        block_size=BLOCK, packet_size=PACKET, coalesce_reads=coalesce
-    )
-    cluster = build_homogeneous(env, SMALL, n_datanodes=n_datanodes, config=cfg)
-    deployment = (
-        SmarthDeployment(cluster) if smarth else HdfsDeployment(cluster)
-    )
-    deployment.network.stats.keep_samples = True
-    client = deployment.client()
-    env.run(until=env.process(client.put("/f", size)))
-
-    mixer = None
-    if mixed:
-        # A concurrent writer shares the reader's host NIC and quotes the
-        # datanode disks the read train is guarding.
-        writer = deployment.client(name="mixer")
-        mixer = env.process(writer.put("/mix", size), name="mixer")
-
-    reader = HdfsReader(deployment)
-    result = env.run(until=env.process(reader.get("/f")))
-    if mixer is not None and not mixer.triggered:
-        # Counters are batch-applied at block settles, so only the
-        # *final* state is comparable — let the mixer drain first.
-        env.run(until=mixer)
-    nodes = sorted(
-        deployment.cluster.datanode_hosts + [deployment.cluster.client_host],
-        key=lambda n: n.name,
-    )
-    return {
-        "duration": result.duration,
-        "end": result.end,
-        "sources": tuple(result.sources),
-        "journal": deployment.journal.events(),
-        "nic": [
-            (n.name, n.nic.bytes_sent, n.nic.bytes_received) for n in nodes
-        ],
-        "disk": [(n.name, n.disk.bytes_read) for n in nodes],
-        "flows": sorted(
-            deployment.network.stats.samples,
-            key=lambda s: (s.start, s.end, s.src, s.dst, s.size),
-        ),
-    }
-
-
-def assert_equivalent(seed, size, **kwargs) -> None:
-    fast = run_read(seed, size, coalesce=0, **kwargs)
-    legacy = run_read(seed, size, coalesce=1, **kwargs)
-    for key in fast:
-        assert fast[key] == legacy[key], f"{key} diverges: " + repr(
-            (fast[key], legacy[key])
-        )
 
 
 class TestEquivalenceFixed:
     def test_single_block(self):
-        assert_equivalent(seed=0, size=BLOCK)
+        oracle.assert_matches_reference(oracle.READ_SINGLE_BLOCK)
 
     def test_ragged_tail(self):
-        assert_equivalent(seed=1, size=2 * BLOCK + 256 * KB + 1)
+        oracle.assert_matches_reference(oracle.READ_RAGGED_TAIL)
 
     def test_sub_packet_file(self):
-        assert_equivalent(seed=2, size=4 * KB)
+        oracle.assert_matches_reference(oracle.READ_SUB_PACKET)
 
     def test_smarth_written_file(self):
         # SMARTH ingest warms the speed registry, so the ranked candidate
         # order differs from plain locality — both modes must follow it.
-        assert_equivalent(seed=3, size=6 * MB, smarth=True)
+        oracle.assert_matches_reference(oracle.READ_SMARTH_WRITTEN)
 
     def test_mixed_read_write(self):
-        assert_equivalent(seed=4, size=6 * MB, mixed=True)
-
-    def test_bounded_coalesce_matches_both(self):
-        """1 < coalesce_reads < n_chunks declines per block exactly like
-        the legacy mode."""
-        bounded = run_read(5, 2 * BLOCK, coalesce=4)  # 2 MB block = 32 chunks
-        legacy = run_read(5, 2 * BLOCK, coalesce=1)
-        assert bounded == legacy
+        oracle.assert_matches_reference(oracle.READ_MIXED)
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12, deadline=None, derandomize=True)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     blocks=st.integers(min_value=1, max_value=4),
@@ -124,33 +45,22 @@ class TestEquivalenceFixed:
 )
 def test_equivalence_property(seed, blocks, tail, n_datanodes):
     size = (blocks - 1) * BLOCK + (tail or BLOCK)
-    assert_equivalent(seed=seed, size=size, n_datanodes=n_datanodes)
+    oracle.assert_matches_reference(
+        Scenario(size=size, seed=seed, n_datanodes=n_datanodes, readers=1)
+    )
 
 
-@settings(max_examples=6, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    smarth=st.booleans(),
-)
-def test_mixed_equivalence_property(seed, smarth):
-    assert_equivalent(seed=seed, size=4 * MB, smarth=smarth, mixed=True)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), system=st.sampled_from(["hdfs", "smarth"]))
+def test_mixed_equivalence_property(seed, system):
+    oracle.assert_matches_reference(
+        Scenario(system, size=4 * MB, seed=seed, readers=1, mixed_writer=True)
+    )
 
 
 def test_train_mode_uses_fewer_events():
     """The point of the fast path: same history, far fewer heap events."""
-
-    def events(coalesce: int) -> int:
-        env = Environment()
-        cfg = SimulationConfig().with_hdfs(
-            block_size=BLOCK, packet_size=PACKET, coalesce_reads=coalesce
-        )
-        cluster = build_homogeneous(env, SMALL, n_datanodes=9, config=cfg)
-        deployment = HdfsDeployment(cluster)
-        client = deployment.client()
-        env.run(until=env.process(client.put("/f", 8 * MB)))
-        before = env.events_processed
-        reader = HdfsReader(deployment)
-        env.run(until=env.process(reader.get("/f")))
-        return env.events_processed - before
-
-    assert events(1) >= 1.5 * events(0)
+    fast = oracle.observe(oracle.READ_RAGGED_TAIL, False)
+    reference = oracle.observe(oracle.READ_RAGGED_TAIL, True)
+    assert fast["read_trains"] > 0
+    assert reference["read_events"] >= 1.5 * fast["read_events"]

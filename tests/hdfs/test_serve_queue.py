@@ -183,8 +183,8 @@ class TestResumeFromOffset:
         """The resumed remainder is per-chunk in both modes; the whole
         degraded read lands on the same replicas either way."""
 
-        def run(coalesce: int):
-            env, deployment = build(n_datanodes=9, coalesce_reads=coalesce)
+        def run(reference: bool):
+            env, deployment = build(n_datanodes=9, reference=reference)
             put(env, deployment, "/f", 2 * BLOCK)
             block = deployment.namenode.namespace.get("/f").blocks[0]
             reader = HdfsReader(deployment)
@@ -198,4 +198,4 @@ class TestResumeFromOffset:
             result = env.run(until=env.process(reader.get("/f")))
             return result.size, tuple(result.sources)
 
-        assert run(0) == run(1)
+        assert run(False) == run(True)

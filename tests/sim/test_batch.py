@@ -23,45 +23,13 @@ from repro.net.throttle import (
     ThrottleRule,
     ThrottleTable,
 )
-from repro.sim.batch import (
-    HAVE_NUMPY,
-    buffered_high_water,
-    count_before,
-    count_at_or_before,
-    effective_rates,
-)
+from repro.sim.batch import buffered_high_water, effective_rates
 
 #: Sizes straddle the kernel's scalar/vector branch point (8).
 finite = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e9, max_value=1e9
 )
 sorted_values = st.lists(finite, min_size=0, max_size=40).map(sorted)
-
-
-def test_numpy_is_available():
-    """The container ships numpy; if this ever fails the vector branch
-    is silently dead and the suite below only tests scalar-vs-scalar."""
-    assert HAVE_NUMPY
-
-
-@given(values=sorted_values, t=finite)
-def test_count_before_matches_linear_scan(values, t):
-    assert count_before(values, t) == sum(1 for v in values if v < t)
-
-
-@given(values=sorted_values, t=finite)
-def test_count_at_or_before_matches_linear_scan(values, t):
-    assert count_at_or_before(values, t) == sum(1 for v in values if v <= t)
-
-
-@given(values=sorted_values, index=st.integers(min_value=0, max_value=39))
-def test_counts_at_exact_element_boundaries(values, index):
-    """Ties are where left/right bisects diverge — probe actual elements."""
-    if not values:
-        return
-    t = values[index % len(values)]
-    assert count_before(values, t) == sum(1 for v in values if v < t)
-    assert count_at_or_before(values, t) == sum(1 for v in values if v <= t)
 
 
 def _scalar_high_water(grants, releases, cap, rows, high):
@@ -87,6 +55,16 @@ def test_buffered_high_water_matches_scalar(grants, releases, cap, high, data):
     rows = data.draw(st.integers(min_value=0, max_value=len(grants)))
     assert buffered_high_water(grants, releases, cap, rows, high) == (
         _scalar_high_water(grants, releases, cap, rows, high)
+    )
+
+
+@given(values=sorted_values, cap=st.integers(min_value=1, max_value=20))
+def test_counts_at_exact_element_boundaries(values, cap):
+    """Ties are where strictly-before and at-or-before counts diverge:
+    grant at exactly the release instants, so every grant is a tie."""
+    rows = len(values)
+    assert buffered_high_water(values, values, cap, rows, 0) == (
+        _scalar_high_water(values, values, cap, rows, 0)
     )
 
 
@@ -184,9 +162,9 @@ def test_throttle_table_batch_method_delegates():
 @pytest.mark.parametrize("size", [7, 8, 9])
 def test_vector_branch_point_is_seamless(size):
     """Straddle ``_MIN_VECTOR`` explicitly: 7 runs scalar, 8+ vectorized."""
-    values = [float(i) * 0.5 for i in range(size)]
-    for t in (-1.0, 0.0, 1.25, values[-1], 1e9):
-        assert count_before(values, t) == sum(1 for v in values if v < t)
-        assert count_at_or_before(values, t) == sum(
-            1 for v in values if v <= t
+    grants = [float(i) * 0.5 for i in range(size)]
+    releases = [g + 1.0 for g in grants]
+    for cap in (1, 2, 3, size):
+        assert buffered_high_water(grants, releases, cap, size, 0) == (
+            _scalar_high_water(grants, releases, cap, size, 0)
         )

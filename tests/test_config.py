@@ -37,6 +37,17 @@ class TestHdfsConfig:
         with pytest.raises(ValueError):
             HdfsConfig(**kwargs)
 
+    def test_fast_paths_are_the_default(self):
+        assert HdfsConfig().reference is False
+        assert HdfsConfig(reference=True).reference is True
+
+    @pytest.mark.parametrize(
+        "name", ["coalesce_packets", "coalesce_reads", "batch_completions"]
+    )
+    def test_removed_fast_path_knobs_are_rejected(self, name):
+        with pytest.raises(TypeError):
+            HdfsConfig(**{name: 1})
+
 
 class TestSmarthConfig:
     def test_defaults_match_paper(self):
