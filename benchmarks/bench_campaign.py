@@ -7,8 +7,8 @@ datanodes at full scale, 4 MB files inside the data-queue bound so the
 train's batched feeder engages on every block):
 
 * ``campaign10k`` — the default fast paths against reference mode
-  (``HdfsConfig.reference``: the per-packet loop, eager cancellation and
-  the uncached registry).  Timelines must be bit-identical; the win
+  (``HdfsConfig.reference``: the per-packet loop and the uncached
+  registry).  Timelines must be bit-identical; the win
   shows up twice: the machine-independent *event reduction* (the batched
   feeder retires a whole block's packet stream with zero heap events per
   packet) and the wall-clock *speedup*.  Both runs are timed best-of-N

@@ -2,13 +2,13 @@
 
 Not a paper figure — this measures the simulator's *cluster-scale fast
 path*: the cached :class:`SpeedRegistry` ranking behind Algorithm 1's
-``choose_targets`` and the lazy-cancellation tombstone scheduler.  Three
-workloads:
+``choose_targets``, with the heartbeat timers that many clients abandon
+left in the scheduler heap.  Three workloads:
 
 * ``scale64`` — 64 staggered SMARTH clients on a 240-datanode two-rack
   cluster, run twice: with the fast paths on, and in reference mode
-  (``HdfsConfig.reference``: the uncached registry, the pre-tombstone
-  scheduler and the per-packet loop).  Both runs must produce an
+  (``HdfsConfig.reference``: the uncached registry and the per-packet
+  loop).  Both runs must produce an
   identical simulated timeline — every client's (start, end) — which is
   asserted, not assumed; the wall-clock ratio is recorded as
   ``end_to_end_speedup``.

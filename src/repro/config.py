@@ -96,11 +96,10 @@ class HdfsConfig:
     #: Reference mode.  ``False`` (the default) runs every simulator fast
     #: path: write :class:`~repro.hdfs.train.PacketTrain` coalescing with
     #: its batched feeder, :class:`~repro.hdfs.train.ReadTrain` read
-    #: coalescing, lazy (tombstone) event cancellation and the cached
+    #: coalescing and the cached
     #: :class:`~repro.hdfs.namenode.SpeedRegistry` ranking.  ``True``
     #: selects the reference path of each together: the per-packet write
-    #: loop, the per-chunk read loop, eager cancellation (abandoned timers
-    #: fire as stale events) and
+    #: loop, the per-chunk read loop and
     #: :class:`~repro.hdfs.namenode.UncachedSpeedRegistry`.  Simulated
     #: behaviour is identical in both modes; ``tests/oracle`` proves it.
     reference: bool = False

@@ -72,9 +72,6 @@ class HdfsDeployment:
         self.cluster = cluster
         self.config = config or cluster.config
         self.env: Environment = cluster.env
-        # Reference mode runs the pre-tombstone scheduler: abandoned
-        # timers stay in the heap and fire as stale events.
-        self.env.lazy_cancellation = not self.config.hdfs.reference
         self.network = cluster.network
         #: Structured protocol trace shared by every service on this
         #: deployment (see repro.analysis.trace).

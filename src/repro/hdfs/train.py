@@ -561,11 +561,7 @@ class PacketTrain(TrainBase):
                 issue_at = env.now if k == 0 else self._a[0][k - 1]
                 if env.now >= issue_at:
                     break
-                timer = env.timeout_at(issue_at)
-                yield race(env, timer, self._flag)
-                # Invalidation may have won the race; the superseded issue
-                # timer would otherwise sit in the heap until its old time.
-                timer.cancel()
+                yield race(env, env.timeout_at(issue_at), self._flag)
                 if self._dead:
                     return
             get_ev = self.data_queue.get()
@@ -590,9 +586,7 @@ class PacketTrain(TrainBase):
                 return
             when, _order, kind, h = self._milestones[0]
             if env.now < when:
-                timer = env.timeout_at(when)
-                yield race(env, timer, self._flag)
-                timer.cancel()
+                yield race(env, env.timeout_at(when), self._flag)
                 if self._dead:
                     return
                 continue
@@ -985,9 +979,7 @@ class ReadTrain(TrainBase):
             self._maybe_replay()
             when = self._milestones[0]
             if env.now < when:
-                timer = env.timeout_at(when)
-                yield race(env, timer, self._flag)
-                timer.cancel()
+                yield race(env, env.timeout_at(when), self._flag)
                 continue
             self._milestones.pop(0)
             self._fired.add("end")

@@ -221,8 +221,6 @@ DISABLED_METRICS = MetricsRegistry(enabled=False)
 #: Scalar counters published verbatim from ``Environment.health()``.
 _ENV_HEALTH_KEYS = (
     "events_dispatched",
-    "tombstones_skipped",
-    "compactions_run",
     "heap_high_water",
 )
 
@@ -231,7 +229,7 @@ def publish_env_health(env, metrics: MetricsRegistry) -> None:
     """Publish an environment's event-loop health counters as gauges.
 
     Gauges land under ``sim.env.*`` (``events_dispatched``,
-    ``tombstones_skipped``, ``compactions_run``, ``heap_high_water``).
+    ``heap_high_water``).
     """
     if not metrics.enabled:
         return

@@ -37,30 +37,17 @@ class Environment:
     time, so runs are fully deterministic given the model's RNG seeds.
     """
 
-    #: Tombstone count below which :meth:`_compact` never runs — keeps tiny
-    #: schedules from paying rebuild costs for a handful of cancellations.
-    COMPACT_MIN_TOMBSTONES = 64
-
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = count()
         self._active_process: Process | None = None
-        #: Heap entries whose event has been cancelled but not yet popped.
-        self._tombstones = 0
         #: Events processed by this environment (kernel-throughput metric).
         self.events_processed = 0
-        #: Cancelled entries discarded off the heap without dispatching.
+        #: Always 0 (nothing is cancelled); perfbench/run.py's counters read it.
         self.tombstones_skipped = 0
-        #: Times :meth:`_compact` rebuilt the heap.
-        self.compactions_run = 0
-        #: Largest number of entries (live + tombstoned) ever in the heap.
+        #: Largest number of entries (live + abandoned) ever in the heap.
         self.heap_high_water = 0
-        #: When False, :meth:`Event.cancel` is a no-op and abandoned timers
-        #: stay in the heap until they fire as stale events — the
-        #: pre-tombstone reference scheduler.  An HDFS deployment switches
-        #: it off in reference mode (``HdfsConfig.reference``).
-        self.lazy_cancellation = True
 
     # -- introspection -----------------------------------------------------
     @property
@@ -74,20 +61,18 @@ class Environment:
         return self._active_process
 
     def peek(self) -> float:
-        """Time of the next *live* scheduled event, or ``inf`` if none remain."""
+        """Time of the next scheduled entry, or ``inf`` if none remain.
+
+        The entry may be abandoned (see :meth:`_drain`): a drain can still
+        end before reaching it.
+        """
         queue = self._queue
-        while queue and queue[0][3]._cancelled:
-            heapq.heappop(queue)
-            self._tombstones -= 1
-            self.tombstones_skipped += 1
         return queue[0][0] if queue else float("inf")
 
     def health(self) -> dict:
         """Event-loop health counters, for `repro.obs` gauges and benchmarks."""
         return {
             "events_dispatched": self.events_processed,
-            "tombstones_skipped": self.tombstones_skipped,
-            "compactions_run": self.compactions_run,
             "heap_high_water": self.heap_high_water,
             "pending": len(self),
         }
@@ -107,8 +92,6 @@ class Environment:
             "now": self._now,
             "next_eid": next_eid,
             "events_processed": self.events_processed,
-            "tombstones_skipped": self.tombstones_skipped,
-            "compactions_run": self.compactions_run,
             "heap_high_water": self.heap_high_water,
         }
 
@@ -130,13 +113,11 @@ class Environment:
         self._now = float(state["now"])
         self._eid = count(state["next_eid"])
         self.events_processed = state["events_processed"]
-        self.tombstones_skipped = state["tombstones_skipped"]
-        self.compactions_run = state["compactions_run"]
         self.heap_high_water = state["heap_high_water"]
 
     def __len__(self) -> int:
-        """Number of live (non-cancelled) scheduled events."""
-        return len(self._queue) - self._tombstones
+        """Number of scheduled entries, abandoned ones included."""
+        return len(self._queue)
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
@@ -214,46 +195,12 @@ class Environment:
         if len(queue) > self.heap_high_water:
             self.heap_high_water = len(queue)
 
-    def _note_cancelled(self) -> None:
-        """Record a new tombstone; compact the heap when they dominate it."""
-        self._tombstones += 1
-        if (
-            self._tombstones >= self.COMPACT_MIN_TOMBSTONES
-            and self._tombstones * 2 >= len(self._queue)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop tombstoned entries and re-heapify.
-
-        Heap *order* is irrelevant to pop order here: entries are totally
-        ordered tuples with unique ids, so rebuilding the heap cannot
-        change the sequence of live events — determinism is preserved.
-        """
-        self._queue = [entry for entry in self._queue if not entry[3]._cancelled]
-        heapq.heapify(self._queue)
-        self._tombstones = 0
-        self.compactions_run += 1
-
     def step(self) -> None:
-        """Process exactly one event, advancing the clock to its time.
-
-        Tombstoned (cancelled) entries are discarded without advancing the
-        clock and without counting toward ``events_processed`` — a
-        cancelled timer must leave no trace in either the metrics or the
-        simulated timeline.
-        """
-        queue = self._queue
-        while True:
-            try:
-                when, _, _, event = heapq.heappop(queue)
-            except IndexError:
-                raise EmptySchedule("no scheduled events remain") from None
-            if event._cancelled:
-                self._tombstones -= 1
-                self.tombstones_skipped += 1
-                continue
-            break
+        """Process exactly one event, advancing the clock to its time."""
+        try:
+            when, _, _, event = heapq.heappop(self._queue)
+        except IndexError:
+            raise EmptySchedule("no scheduled events remain") from None
         self._now = when
 
         self.events_processed += 1
@@ -274,52 +221,75 @@ class Environment:
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until ``until`` (a time or an event) or until no events remain.
 
-        * ``until is None`` — run the schedule dry and return ``None``.
+        * ``until is None`` — drain: run to the last event someone waits
+          on (see :meth:`_drain`) and return ``None``.
         * ``until`` is a number — advance the clock to exactly that time.
         * ``until`` is an :class:`Event` — run until it fires; return its
           value (re-raising its exception if it failed).
         """
-        stop: Event | None = None
-        if until is not None:
-            if isinstance(until, Event):
-                stop = until
-            else:
-                at = float(until)
-                if at < self._now:
-                    raise ValueError(
-                        f"until ({at}) must not lie in the past (now={self._now})"
-                    )
-                stop = Timeout(self, at - self._now)
+        if until is None:
+            self._drain()
+            return None
+        if isinstance(until, Event):
+            stop = until
+        else:
+            at = float(until)
+            if at < self._now:
+                raise ValueError(
+                    f"until ({at}) must not lie in the past (now={self._now})"
+                )
+            stop = Timeout(self, at - self._now)
 
-            if stop.callbacks is None:  # already processed
-                if isinstance(until, Event):
-                    if not stop._ok:
-                        raise stop._value
-                    return stop._value
-                return None
-            stop.callbacks.append(self._stop_callback)
+        if stop.callbacks is None:  # already processed
+            if isinstance(until, Event):
+                if not stop._ok:
+                    raise stop._value
+                return stop._value
+            return None
+        stop.callbacks.append(self._stop_callback)
 
         try:
             while True:
                 self.step()
         except StopSimulation as signal:
             if isinstance(until, Event):
-                assert stop is not None
                 if not stop._ok:
                     stop.defuse()
                     raise stop._value
                 return signal.value
             # Pin the clock to the requested stop time even if the last
             # event processed was earlier.
-            if not isinstance(until, Event) and until is not None:
-                self._now = float(until)
+            self._now = float(until)
             return None
         except EmptySchedule:
-            if stop is not None and not stop.triggered:
+            if not stop.triggered:
                 raise RuntimeError(
                     "schedule ran dry before the 'until' event fired"
                 ) from None
             return None
+
+    def _drain(self) -> None:
+        """Step until only abandoned entries remain, then drop them.
+
+        An entry is *abandoned* when its event succeeded and has no
+        callbacks — a timer whose waiter was interrupted or lost a race.
+        Every other entry is live.  When an abandoned entry reaches the
+        head and no live entry remains, the rest of the heap is dropped
+        (and marked processed) without advancing the clock, so a drain
+        ends at the last event someone waits on.  Abandoned entries ahead
+        of live work simply fire.  Only a dead head pays for the scan.
+        """
+        queue = self._queue
+        while queue:
+            head = queue[0][3]
+            if not head.callbacks and head._ok and not any(
+                entry[3].callbacks or not entry[3]._ok for entry in queue
+            ):
+                for entry in queue:
+                    entry[3].callbacks = None
+                queue.clear()
+                return
+            self.step()
 
     @staticmethod
     def _stop_callback(event: Event) -> None:

@@ -35,7 +35,7 @@ class Event:
     most once.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_cancelled")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -45,7 +45,6 @@ class Event:
         self._value: Any = PENDING
         self._ok: bool = True
         self._defused: bool = False
-        self._cancelled: bool = False
 
     # -- state inspection -------------------------------------------------
     @property
@@ -84,45 +83,6 @@ class Event:
     def defuse(self) -> None:
         """Mark a failure as handled so it will not crash the simulation."""
         self._defused = True
-
-    @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` has withdrawn the event."""
-        return self._cancelled
-
-    def cancel(self) -> None:
-        """Withdraw a triggered-but-unprocessed event from the schedule.
-
-        The scheduler leaves the heap entry in place as a *tombstone* and
-        discards it when popped — without advancing the clock, without
-        counting it as processed, and without running callbacks.  The
-        environment compacts the heap once tombstones dominate it, so
-        abandoned timers (heartbeats after their owner finished, losers of
-        a :func:`race`, stale recovery timeouts) stop churning the heap.
-
-        Cancelling is the *caller's* assertion that no remaining subscriber
-        matters.  Only successful, already-triggered events may be
-        cancelled: an untriggered event may still be succeeded later (its
-        schedule entry would silently vanish) and a failed event must crash
-        the run if unhandled.  Cancelling a processed or already-cancelled
-        event is a no-op, so ``race`` winners can cancel losers blindly.
-
-        With :attr:`Environment.lazy_cancellation` switched off this is a
-        complete no-op: abandoned timers stay scheduled and fire as stale
-        events, reproducing the pre-tombstone scheduler (the reference
-        mode selected by ``HdfsConfig.reference``).
-        """
-        if not self.env.lazy_cancellation:
-            return
-        if self.callbacks is None or self._cancelled:
-            return
-        if self._value is PENDING:
-            raise RuntimeError(f"cannot cancel untriggered {self!r}")
-        if not self._ok:
-            raise RuntimeError(f"cannot cancel failed {self!r}")
-        self._cancelled = True
-        self.callbacks = None
-        self.env._note_cancelled()
 
     # -- triggering -------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from .errors import Interrupt
-from .events import PENDING, Event, Timeout
+from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .environment import Environment
@@ -115,18 +115,6 @@ class Process(Event):
                     target.callbacks.remove(self._resume)
                 except ValueError:  # pragma: no cover - defensive
                     pass
-                # A plain timer we were the sole subscriber of is now pure
-                # heap churn — tombstone it.  Restricted to Timeout and the
-                # bare Events produced by ``timeout_at``: subclasses may
-                # carry side effects (e.g. Request slots) or be re-yielded
-                # by other processes, so they stay scheduled.
-                if (
-                    not target.callbacks
-                    and type(target) in (Event, Timeout)
-                    and target._ok
-                    and target._value is not PENDING
-                ):
-                    target.cancel()
         self._target = None
 
         env._active_process = self

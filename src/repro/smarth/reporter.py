@@ -32,8 +32,8 @@ def speed_reporter(
     down, the namenode-side effect is identical).
 
     The owning client interrupts the loop when its upload completes (the
-    interrupt also tombstones the pending interval timer, see
-    ``Process._resume``); the stop is journalled so traces show when a
+    pending interval timer is left abandoned, and a drain drops it, see
+    ``Environment._drain``); the stop is journalled so traces show when a
     client's heartbeat traffic ceased.
     """
     env = namenode.env

@@ -96,7 +96,7 @@ class TestSnapshotProtocol:
 
 class TestPublishEnvHealth:
     def test_single_heap_env_has_no_window_gauges(self) -> None:
-        """The environment publishes exactly its four heap-health keys,
+        """The environment publishes exactly its two heap-health keys,
         which the golden metrics summaries pin."""
         from repro.obs.metrics import publish_env_health
         from repro.sim import Environment
@@ -108,7 +108,5 @@ class TestPublishEnvHealth:
         names = {gauge.name for gauge in registry.gauges()}
         assert names == {
             "sim.env.events_dispatched",
-            "sim.env.tombstones_skipped",
-            "sim.env.compactions_run",
             "sim.env.heap_high_water",
         }

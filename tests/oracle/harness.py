@@ -6,6 +6,8 @@ and durations, the journal, NIC and disk counters, flow aggregates,
 per-receiver ``max_buffered``, every :class:`InvariantMonitor` verdict
 and the Chrome trace bytes.  Runs are memoized per ``(scenario, mode)``,
 so a fixed scenario shared by several tests is simulated once.
+:func:`service_report` does the same for the ingest service's golden
+chaos run, whose checkpoint barriers drain the schedule.
 """
 
 from __future__ import annotations
@@ -30,10 +32,14 @@ from repro.hdfs import HdfsDeployment, HdfsReader
 from repro.hdfs.protocol import HdfsError
 from repro.net.throttle import NodeThrottle
 from repro.obs import check_wellformed, chrome_trace_json
+from repro.service import IngestService
+from repro.service import service as service_module
 from repro.sim import Environment
 from repro.smarth import SmarthDeployment
 from repro.units import KB, MB, mbps
 from repro.workloads import contention, heterogeneous, two_rack
+
+from tests.service.specs import golden_spec
 
 #: Simulated seconds after which an unfinished scenario counts as a hang.
 DEADLINE = 60.0
@@ -226,7 +232,6 @@ def observe(scenario: Scenario, reference: bool) -> dict:
         trace=chrome_trace_json(deployment.tracer),
         # Engine measures, never compared:
         events=env.events_processed,
-        tombstones=env.tombstones_skipped,
         trains=metrics.counter_value("trains_conducted"),
         read_trains=metrics.counter_value("read_trains_conducted"),
         registry=type(deployment.namenode.speeds).__name__,
@@ -245,8 +250,11 @@ def assert_matches_reference(scenario: Scenario) -> None:
     fast, reference = observe(scenario, False), observe(scenario, True)
     for key in COMPARED:
         assert fast.get(key) == reference.get(key), (
-            f"{key} differs from reference mode; replay with "
-            f"@example(scenario={scenario!r})"
+            f"{key} differs from reference mode; replay from the repo root "
+            "with\n  PYTHONPATH=src python -c \"from tests.oracle.harness "
+            "import Scenario, assert_matches_reference; "
+            f"assert_matches_reference({scenario!r})\"\n"
+            f"or pin it with @example(scenario={scenario!r})"
         )
 
 
@@ -284,6 +292,25 @@ def chaos_report(reference: bool) -> str:
         return report_json(run_campaign(11, 2, ("hdfs", "smarth"), 0.1))
     finally:
         ChaosSchedule.config = original
+
+
+@lru_cache(maxsize=None)
+def service_report(reference: bool) -> dict:
+    """The chaos golden service run's digests and counts in the given mode.
+
+    Four barriers; a throttle window straddles the t=60 s barrier and a
+    kill/revive pair the t=120 s one.
+    """
+    original = service_module.SimulationConfig
+    if reference:
+        service_module.SimulationConfig = (
+            lambda seed: original(seed=seed).with_hdfs(reference=True)
+        )
+    try:
+        report = IngestService(golden_spec(chaos=True)).run()
+    finally:
+        service_module.SimulationConfig = original
+    return {"digests": report.digests(), "counts": report.counts}
 
 
 # -- fixed scenarios the per-fast-path suites pinned -----------------------

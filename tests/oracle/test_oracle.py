@@ -4,10 +4,14 @@ Randomized scenarios cover Table I instance types, four cluster shapes,
 HDFS and SMARTH, sub-packet/whole/ragged files, reads racing a writer,
 unscheduled throttles and kills, injected faults and three policies;
 the fixed cases of the former per-fast-path suites are ``@example``s.
-The engagement tests prove each fast path actually runs.
+The ingest service's golden chaos run covers checkpoint barriers.  The
+engagement tests prove each fast path actually runs.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -18,6 +22,10 @@ from repro.units import KB, MB
 
 from . import harness as oracle
 from .harness import Scenario, assert_matches_reference, observe
+
+SERVICE_GOLDEN = (
+    Path(__file__).parents[1] / "service" / "golden_service_digests.json"
+)
 
 _TIMES = st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.8, 1.1])
 _INJECTED = st.one_of(
@@ -107,7 +115,8 @@ def test_fast_paths_match_reference(scenario: Scenario) -> None:
     assert_matches_reference(scenario)
 
 
-# The divergences below are known; ROADMAP.md item 7 tracks mending them.
+# The divergences below are known; ROADMAP.md items 2 and 3 track mending
+# them.
 @pytest.mark.xfail(strict=True, reason="ReadTrain._replay re-quotes a "
                    "quote the guard committed at the invalidation instant")
 def test_concurrent_readers_match_reference() -> None:
@@ -132,6 +141,18 @@ def test_smarth_survivors_run_until_teardown() -> None:
     )
 
 
+def test_service_barriers_match_reference() -> None:
+    """Checkpoint barriers drain the schedule: in both modes they close at
+    the same instant, so the whole chaos run matches its golden."""
+    fast, reference = oracle.service_report(False), oracle.service_report(True)
+    assert reference == fast, (
+        "the service run differs from reference mode; replay with\n"
+        "  PYTHONPATH=src python -m pytest -q "
+        "tests/oracle/test_oracle.py::test_service_barriers_match_reference"
+    )
+    assert fast == json.loads(SERVICE_GOLDEN.read_text())["chaos"]
+
+
 class TestEngagement:
     """Each fast path runs where it should (the write and read trains'
     checks live in ``tests/hdfs/test_{packet,read}_train.py``)."""
@@ -149,12 +170,6 @@ class TestEngagement:
         fast = observe.__wrapped__(oracle.BATCHABLE, False)  # not memoized
         assert sum(fed) > 0
         assert fast["events"] < observe(oracle.BATCHABLE, True)["events"]
-
-    def test_lazy_cancellation(self) -> None:
-        fast = observe(oracle.THROTTLED[0.4], False)
-        reference = observe(oracle.THROTTLED[0.4], True)
-        assert fast["tombstones"] > 0 and reference["tombstones"] == 0
-        assert fast["events"] < reference["events"]
 
     def test_cached_speed_registry(self) -> None:
         fast = observe(oracle.STEADY_SMARTH, False)

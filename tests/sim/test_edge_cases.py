@@ -1,8 +1,6 @@
 """Kernel edge cases: ordering guarantees, defuse semantics, conditions."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.sim import Environment, Interrupt
 
@@ -140,35 +138,6 @@ class TestProcessValueSemantics:
 
 
 class TestSchedulerHousekeeping:
-    def test_compaction_fires_exactly_at_threshold(self, env):
-        """Compaction triggers at COMPACT_MIN_TOMBSTONES *and* majority:
-        schedule 2×threshold, cancel threshold − 1 (no compact yet), then
-        one more tips both conditions at once."""
-        threshold = Environment.COMPACT_MIN_TOMBSTONES
-        timers = [env.timeout(10.0 + i) for i in range(2 * threshold)]
-        for timer in timers[: threshold - 1]:
-            timer.cancel()
-        assert env.compactions_run == 0
-        assert env._tombstones == threshold - 1
-        timers[threshold - 1].cancel()
-        # threshold tombstones, 2×threshold entries: 2·t ≥ entries holds
-        # with equality, so the compaction must fire exactly here.
-        assert env.compactions_run == 1
-        assert env._tombstones == 0
-        assert len(env) == threshold
-
-    def test_peek_after_cancelling_everything(self, env):
-        """Cancelling every pending event leaves an 'empty' schedule even
-        while tombstones still sit in the heap."""
-        timers = [env.timeout(1.0 + i) for i in range(10)]
-        for timer in timers:
-            timer.cancel()
-        assert env.peek() == float("inf")
-        assert len(env) == 0
-        env.run()  # terminates immediately; nothing left to dispatch
-        assert env.events_processed == 0
-        assert env.tombstones_skipped >= 10
-
     def test_schedule_at_in_the_past_raises(self, env):
         def proc(env):
             yield env.timeout(5.0)
@@ -191,41 +160,3 @@ class TestSchedulerHousekeeping:
         env.process(proc(env))
         env.run()
         assert fired == [5.0]
-
-    @given(
-        ops=st.lists(
-            st.tuples(
-                st.sampled_from(["schedule", "cancel"]),
-                st.floats(min_value=0.0, max_value=100.0),
-            ),
-            min_size=1,
-            max_size=300,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_interleaved_cancel_and_compact_invariants(self, ops):
-        """Arbitrary schedule/cancel interleavings keep the heap honest:
-        len() matches live events, peek() matches the earliest live one,
-        and the surviving timers all fire in order."""
-        env = Environment()
-        live = {}
-        for op, when in ops:
-            if op == "schedule":
-                timer = env.timeout(when)
-                live[id(timer)] = (when, timer)
-            elif live:
-                # Deterministically pick a victim: the latest-deadline one.
-                key = max(live, key=lambda k: (live[k][0], k))
-                _, timer = live.pop(key)
-                timer.cancel()
-        assert len(env) == len(live)
-        expected_peek = (
-            min(when for when, _ in live.values()) if live else float("inf")
-        )
-        assert env.peek() == expected_peek
-        fired = []
-        for _, timer in live.values():
-            timer.callbacks.append(lambda ev: fired.append(env.now))
-        env.run()
-        assert fired == sorted(when for when, _ in live.values())
-        assert env._tombstones == 0  # run() drains tombstones too

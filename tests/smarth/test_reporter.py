@@ -126,10 +126,12 @@ class TestReporterStop:
         # The stop lands the instant the upload completes.
         assert stops[0].time == pytest.approx(result.end)
         assert not client._reporter.is_alive
-        # Heap hygiene at upload completion: the only live entries left
-        # are the cluster's own periodic machinery (6 datanode heartbeats
-        # + the liveness monitor) and the reporter's just-finished process
-        # event — not a backlog of abandoned client timers.  The
-        # reporter's next beat and every per-packet race loser were
-        # cancelled, so the live count is bounded by cluster size.
-        assert len(env) <= 6 + 2
+        # Once the cluster's own periodic loops stop, a drain leaves
+        # nothing pending and ends where the upload did: the reporter's
+        # abandoned next beat does not hold the clock.
+        for datanode in deployment.datanodes.values():
+            datanode.stop_heartbeats()
+        deployment.namenode.stop_monitor()
+        env.run()
+        assert len(env) == 0
+        assert env.now == result.end
